@@ -22,7 +22,9 @@
 #include "util/thread_pool.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run_main(int argc, char** argv) {
   using namespace ftcf;
 
   util::Cli cli("ablation_adaptive",
@@ -115,4 +117,10 @@ int main(int argc, char** argv) {
                "synchronization protocols for exactly this.\n";
   obs_cli.finish(topo::trace_naming(fabric));
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return ftcf::util::guarded_main(argc, argv, run_main);
 }

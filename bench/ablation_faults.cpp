@@ -29,7 +29,9 @@
 #include "util/thread_pool.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run_main(int argc, char** argv) {
   using namespace ftcf;
 
   util::Cli cli("ablation_faults",
@@ -127,4 +129,10 @@ int main(int argc, char** argv) {
                "change neither table: only the simulator sees the slow "
                "cable.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return ftcf::util::guarded_main(argc, argv, run_main);
 }

@@ -20,7 +20,9 @@
 #include "util/thread_pool.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run_main(int argc, char** argv) {
   using namespace ftcf;
 
   util::Cli cli("ablation_grouped_rd",
@@ -87,4 +89,10 @@ int main(int argc, char** argv) {
                "does not repay.\n";
   if (cli.flag("profile")) obs::Profiler::instance().report(std::cerr);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return ftcf::util::guarded_main(argc, argv, run_main);
 }

@@ -18,7 +18,9 @@
 #include "util/thread_pool.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run_main(int argc, char** argv) {
   using namespace ftcf;
 
   util::Cli cli("ablation_ordering",
@@ -84,4 +86,10 @@ int main(int argc, char** argv) {
          "adversarial ranks lose\n4-14x of the bandwidth.\n";
   obs_cli.finish(topo::trace_naming(fabric));
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return ftcf::util::guarded_main(argc, argv, run_main);
 }

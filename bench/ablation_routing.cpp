@@ -17,7 +17,9 @@
 #include "util/thread_pool.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run_main(int argc, char** argv) {
   using namespace ftcf;
 
   util::Cli cli("ablation_routing",
@@ -69,4 +71,10 @@ int main(int argc, char** argv) {
          "systematic, not spread.\n"
          "Routing and ordering must be designed together (§I).\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return ftcf::util::guarded_main(argc, argv, run_main);
 }

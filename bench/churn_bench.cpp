@@ -16,6 +16,7 @@
 #include "routing/degraded.hpp"
 #include "routing/incremental.hpp"
 #include "topology/spec.hpp"
+#include "util/cli.hpp"
 
 namespace {
 
@@ -141,11 +142,9 @@ void BM_CampaignEvent648(benchmark::State& state) {
 }
 BENCHMARK(BM_CampaignEvent648);
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run_main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 2;
 
   obs::MetricsRegistry registry;
   benchio::JsonExportReporter reporter(registry, "churn");
@@ -164,4 +163,10 @@ int main(int argc, char** argv) {
               << "x\n";
   }
   return benchio::write_bench_json(registry, "BENCH_churn.json");
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return ftcf::util::guarded_main(argc, argv, run_main);
 }

@@ -36,9 +36,7 @@ std::uint64_t hot_link_count(const analysis::HsdAnalyzer& analyzer,
   return hot;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run_main(int argc, char** argv) {
   util::Cli cli("fig1_ordering_example",
                 "Fig. 1: routing-aware node order removes the hot spots of "
                 "dst = (src + 4) mod 16");
@@ -101,4 +99,10 @@ int main(int argc, char** argv) {
             << "); the paper's example shows 3.\n"
             << "Routing-aware order always yields 0 hot links (HSD = 1).\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return ftcf::util::guarded_main(argc, argv, run_main);
 }

@@ -46,9 +46,7 @@ std::vector<std::size_t> sample_stages(std::size_t total, std::size_t want) {
   return idx;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run_main(int argc, char** argv) {
   util::Cli cli("fig2_bw_vs_msgsize",
                 "Fig. 2: normalized effective BW vs message size (random "
                 "order, async progression)");
@@ -138,4 +136,10 @@ int main(int argc, char** argv) {
                "ordered series stays near 1.0.\n";
   obs_cli.finish(topo::trace_naming(fabric));
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return ftcf::util::guarded_main(argc, argv, run_main);
 }

@@ -19,7 +19,9 @@
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run_main(int argc, char** argv) {
   using namespace ftcf;
 
   util::Cli cli("fig2b_adversarial_ring",
@@ -96,4 +98,10 @@ int main(int argc, char** argv) {
             << " MB/s per flow; the paper reports 231.5 MB/s).\n";
   obs_cli.finish(topo::trace_naming(fabric));
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return ftcf::util::guarded_main(argc, argv, run_main);
 }

@@ -16,7 +16,9 @@
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run_main(int argc, char** argv) {
   using namespace ftcf;
 
   util::Cli cli("fig3_hsd_vs_size",
@@ -68,4 +70,10 @@ int main(int argc, char** argv) {
                "order + D-Mod-K all of these are exactly 1\n(see "
                "table3_hsd_cases).\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return ftcf::util::guarded_main(argc, argv, run_main);
 }

@@ -17,6 +17,7 @@
 #include "routing/dmodk.hpp"
 #include "sim/packet_sim.hpp"
 #include "topology/presets.hpp"
+#include "util/cli.hpp"
 #include "util/thread_pool.hpp"
 
 namespace {
@@ -203,15 +204,19 @@ void BM_PacketSimEventRate(benchmark::State& state) {
 }
 BENCHMARK(BM_PacketSimEventRate);
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run_main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 2;
 
   obs::MetricsRegistry registry;
   benchio::JsonExportReporter reporter(registry, "micro_perf");
   benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();
   return benchio::write_bench_json(registry, "BENCH_micro_perf.json");
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return ftcf::util::guarded_main(argc, argv, run_main);
 }

@@ -16,6 +16,7 @@
 #include "routing/dmodk.hpp"
 #include "sim/pdes.hpp"
 #include "topology/presets.hpp"
+#include "util/cli.hpp"
 #include "util/thread_pool.hpp"
 
 namespace {
@@ -83,11 +84,9 @@ BENCHMARK(BM_PdesEngine648)
     ->Args({8, 2})
     ->Args({8, 8});
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run_main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 2;
 
   obs::MetricsRegistry registry;
   ftcf::benchio::JsonExportReporter reporter(registry, "pdes");
@@ -112,4 +111,10 @@ int main(int argc, char** argv) {
     std::cout << "pdes speedup (serial / best pdes): " << speedup << "x\n";
   }
   return ftcf::benchio::write_bench_json(registry, "BENCH_pdes.json");
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return ftcf::util::guarded_main(argc, argv, run_main);
 }

@@ -179,10 +179,5 @@ int run(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  try {
-    return run(argc, argv);
-  } catch (const util::Error& e) {
-    std::cerr << "shift_sweep: " << e.what() << "\n";
-    return 2;
-  }
+  return ftcf::util::guarded_main(argc, argv, run);
 }

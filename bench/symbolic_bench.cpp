@@ -33,6 +33,7 @@
 #include "ordering/ordering.hpp"
 #include "routing/dmodk.hpp"
 #include "topology/presets.hpp"
+#include "util/cli.hpp"
 
 namespace {
 
@@ -197,9 +198,7 @@ int run(bool quick) {
   return benchio::write_bench_json(registry, "BENCH_symbolic.json");
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run_main(int argc, char** argv) {
   bool quick = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) {
@@ -210,4 +209,10 @@ int main(int argc, char** argv) {
     }
   }
   return run(quick);
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return ftcf::util::guarded_main(argc, argv, run_main);
 }

@@ -30,9 +30,7 @@ bool traffic_matches(const cps::Sequence& seq, cps::CpsKind kind) {
   }
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run_main(int argc, char** argv) {
   util::Cli cli("table1_cps_usage",
                 "Table 1: CPS usage by MVAPICH/OpenMPI collective algorithms");
   cli.add_flag("csv", "CSV output");
@@ -105,4 +103,10 @@ int main(int argc, char** argv) {
               << (ok ? "ok" : "MISMATCH") << '\n';
   }
   return all_ok ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return ftcf::util::guarded_main(argc, argv, run_main);
 }

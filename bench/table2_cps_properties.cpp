@@ -45,9 +45,7 @@ const char* direction_name(cps::Direction dir) {
   return "?";
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run_main(int argc, char** argv) {
   util::Cli cli("table2_cps_properties",
                 "Table 2: formal CPS definitions, audited on generated "
                 "sequences");
@@ -95,4 +93,10 @@ int main(int argc, char** argv) {
                "permutation with constant\n(or xor-symmetric) displacement; "
                "Shift is a superset of every unidirectional CPS.\n";
   return all_ok ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return ftcf::util::guarded_main(argc, argv, run_main);
 }

@@ -62,9 +62,7 @@ double random_rank_hsd(const analysis::HsdAnalyzer& analyzer,
   return acc.mean();
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run_main(int argc, char** argv) {
   util::Cli cli("table3_hsd_cases",
                 "Table 3: HSD of proposed routing+ordering vs random ranking "
                 "across RLFT cases");
@@ -185,4 +183,10 @@ int main(int argc, char** argv) {
                "(congestion-free); the paper's\nTable 3 reports random-"
                "ranking improvement factors up to 5.2.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return ftcf::util::guarded_main(argc, argv, run_main);
 }

@@ -13,7 +13,9 @@
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run_main(int argc, char** argv) {
   using namespace ftcf;
 
   util::Cli cli("adversarial_demo",
@@ -68,4 +70,10 @@ int main(int argc, char** argv) {
                "outcome (normalized BW ~ 1/load):\nhot spots are a property "
                "of routing x ordering, before any packet moves.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return ftcf::util::guarded_main(argc, argv, run_main);
 }

@@ -19,7 +19,9 @@
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run_main(int argc, char** argv) {
   using namespace ftcf;
 
   util::Cli cli("app_scaling",
@@ -72,4 +74,10 @@ int main(int argc, char** argv) {
                "size*\n(the slowdown column) — the scalability loss the "
                "paper set out to remove (§I).\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return ftcf::util::guarded_main(argc, argv, run_main);
 }

@@ -32,9 +32,7 @@ void describe(const topo::PgftSpec& spec, const std::string& label,
                  spec.is_rlft() ? "yes" : "no"});
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run_main(int argc, char** argv) {
   util::Cli cli("cluster_design",
                 "size an RLFT, compare PGFT alternatives, export a topo file");
   cli.add_option("nodes", "required node count (preset sizes)", "324");
@@ -91,4 +89,10 @@ int main(int argc, char** argv) {
     std::cout << "  ...\n";
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return ftcf::util::guarded_main(argc, argv, run_main);
 }

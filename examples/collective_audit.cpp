@@ -31,9 +31,7 @@ std::vector<coll::Buffer> random_inputs(std::uint64_t ranks,
   return inputs;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run_main(int argc, char** argv) {
   util::Cli cli("collective_audit",
                 "verify collective content and estimate congestion cost");
   cli.add_option("nodes", "cluster size preset", "128");
@@ -104,4 +102,10 @@ int main(int argc, char** argv) {
   std::cout << "\nThe topology-order column is the paper's configuration: "
                "every stage at HSD 1.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return ftcf::util::guarded_main(argc, argv, run_main);
 }

@@ -16,7 +16,9 @@
 #include "util/rng.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run_main(int argc, char** argv) {
   using namespace ftcf;
 
   util::Cli cli("partial_jobs",
@@ -95,4 +97,10 @@ int main(int argc, char** argv) {
                     ? " — perfectly isolated, no cross-job link sharing.\n"
                     : " — jobs interfere!\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return ftcf::util::guarded_main(argc, argv, run_main);
 }

@@ -12,7 +12,9 @@
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run_main(int argc, char** argv) {
   using namespace ftcf;
 
   util::Cli cli("quickstart", "contention-free collectives in five calls");
@@ -51,4 +53,10 @@ int main(int argc, char** argv) {
             << (t3.holds ? "holds" : t3.detail) << " over "
             << t3.stages_checked << " stages\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return ftcf::util::guarded_main(argc, argv, run_main);
 }

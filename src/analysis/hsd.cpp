@@ -21,35 +21,27 @@ StageMetrics HsdAnalyzer::analyze_stage(
   loads.assign(fabric_->num_ports(), 0u);
   StageMetrics metrics;
 
-  // Inline route walk (same semantics as route::trace_route, without the
-  // per-flow allocation): this loop dominates Fig. 3 / Table 3 runtimes.
   // Links are buffered per flow and committed only on delivery, so a flow
   // stranded by a degraded table leaves no partial load behind.
-  const std::size_t max_links = 2ull * fabric_->height() + 2;
   std::vector<topo::PortId>& walked = workspace.walked_;
-  walked.reserve(max_links + 1);
+  walked.reserve(route::max_route_links(*fabric_) + 1);
   for (const cps::Pair& flow : host_flows) {
     if (flow.src == flow.dst) continue;
     ++metrics.num_flows;
-    const topo::NodeId dst_node = fabric_->host_node(flow.dst);
-    topo::NodeId at = fabric_->host_node(flow.src);
-    std::uint32_t out_index = fabric_->node(at).num_down_ports +
-                              route::host_up_port(*fabric_, flow.src, flow.dst);
     walked.clear();
-    for (std::size_t hop = 0;; ++hop) {
-      util::ensures(hop <= max_links, "forwarding tables loop");
-      const topo::PortId out = fabric_->port_id(at, out_index);
-      walked.push_back(out);
-      at = fabric_->port(fabric_->port(out).peer).node;
-      if (at == dst_node) {
-        for (const topo::PortId pid : walked) ++loads[pid];
-        break;
-      }
-      if (tolerate_unroutable_ && !tables_->has_entry(at, flow.dst)) {
-        ++metrics.unroutable_flows;
-        break;
-      }
-      out_index = tables_->out_port(at, flow.dst);
+    const route::RouteStatus status = route::walk_lft(
+        *fabric_, *tables_, fabric_->host_node(flow.src), flow.dst,
+        [&](const route::RouteHop& hop) {
+          walked.push_back(hop.out);
+          return route::kKeepWalking;
+        });
+    if (status == route::RouteStatus::kOk) {
+      for (const topo::PortId pid : walked) ++loads[pid];
+    } else if (status == route::RouteStatus::kUnrouted &&
+               tolerate_unroutable_) {
+      ++metrics.unroutable_flows;
+    } else {
+      route::require_delivered(status);
     }
   }
 

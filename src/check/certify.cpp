@@ -17,25 +17,17 @@ using topo::PortId;
 
 namespace {
 
-/// True when the (src, dst) flow's route crosses `link`. Same walk as the
-/// HSD analyzer's inline loop; bails out (false) on unprogrammed entries.
+/// True when the (src, dst) flow's route crosses `link`, including the
+/// prefix a flow stranded by an unprogrammed entry walked before stopping.
 bool flow_uses_link(const Fabric& fabric, const route::ForwardingTables& tables,
                     std::uint64_t src, std::uint64_t dst, PortId link) {
-  if (src == dst) return false;
-  const topo::NodeId dst_node = fabric.host_node(dst);
-  topo::NodeId at = fabric.host_node(src);
-  std::uint32_t out_index = fabric.node(at).num_down_ports +
-                            route::host_up_port(fabric, src, dst);
-  const std::size_t max_links = 2ull * fabric.height() + 2;
-  for (std::size_t hop = 0; hop <= max_links; ++hop) {
-    const PortId out = fabric.port_id(at, out_index);
-    if (out == link) return true;
-    at = fabric.port(fabric.port(out).peer).node;
-    if (at == dst_node) return false;
-    if (!tables.has_entry(at, dst)) return false;
-    out_index = tables.out_port(at, dst);
-  }
-  return false;
+  bool crossed = false;
+  route::walk_lft(fabric, tables, fabric.host_node(src), dst,
+                  [&](const route::RouteHop& hop) {
+                    crossed = crossed || hop.out == link;
+                    return route::kKeepWalking;
+                  });
+  return crossed;
 }
 
 }  // namespace

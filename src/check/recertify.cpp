@@ -121,8 +121,8 @@ IncrementalCertifier::IncrementalCertifier(const Fabric& fabric,
       }
     }
 
-  // Per-stage load state from the cached paths (same walk the one-shot
-  // certifier performs, shared across the sources entering each leaf).
+  // Per-stage load state from the cached paths, each shared by every source
+  // entering its leaf.
   const par::ForOptions stage_opts{.threads = 0, .grain = 4,
                                    .label = "check.recertify"};
   par::parallel_for(
@@ -181,20 +181,15 @@ PortId IncrementalCertifier::injection_link(std::uint64_t src,
 IncrementalCertifier::LeafPath IncrementalCertifier::walk_leafpath(
     std::uint64_t dest, NodeId leaf) const {
   LeafPath path;
-  const NodeId dst_node = fabric_->host_node(dest);
-  NodeId at = leaf;
-  const std::size_t max_links = 2ull * fabric_->height() + 2;
-  for (std::size_t hop = 0;; ++hop) {
-    util::ensures(hop <= max_links, "forwarding tables loop");
-    if (!tables_->has_entry(at, dest)) return path;  // prefix kept for blame
-    const PortId out = fabric_->port_id(at, tables_->out_port(at, dest));
-    path.links.push_back(out);
-    at = fabric_->port(fabric_->port(out).peer).node;
-    if (at == dst_node) {
-      path.routable = true;
-      return path;
-    }
-  }
+  const route::RouteStatus status = route::walk_lft(
+      *fabric_, *tables_, leaf, dest, [&](const route::RouteHop& hop) {
+        path.links.push_back(hop.out);
+        return route::kKeepWalking;
+      });
+  path.routable = status == route::RouteStatus::kOk;
+  // A stranded path keeps its prefix for blame.
+  if (status != route::RouteStatus::kUnrouted) route::require_delivered(status);
+  return path;
 }
 
 void IncrementalCertifier::bump(StageState& st, PortId pid, int dir) {

@@ -29,20 +29,15 @@ bool tables_route(const Fabric& fabric, const route::ForwardingTables& tables,
                   const fault::LinkHealth& health, std::uint64_t src,
                   std::uint64_t dst) {
   const NodeId host = fabric.host_node(src);
-  const topo::Node& hn = fabric.node(host);
-  const PortId inject = fabric.port_id(
-      host, hn.num_down_ports + route::host_up_port(fabric, src, dst));
-  if (!health.node_up(host) || !health.link_up(inject)) return false;
-  NodeId at = fabric.port(fabric.port(inject).peer).node;
-  const NodeId dst_node = fabric.host_node(dst);
-  const std::size_t max_links = 2ull * fabric.height() + 2;
-  for (std::size_t hop = 0; hop <= max_links; ++hop) {
-    if (!tables.has_entry(at, dst)) return false;
-    const PortId out = fabric.port_id(at, tables.out_port(at, dst));
-    at = fabric.port(fabric.port(out).peer).node;
-    if (at == dst_node) return true;
-  }
-  return false;
+  const route::RouteStatus status = route::walk_lft(
+      fabric, tables, host, dst,
+      [&](const route::RouteHop& hop) -> std::optional<route::RouteStatus> {
+        if (hop.from == host &&
+            (!health.node_up(host) || !health.link_up(hop.out)))
+          return route::RouteStatus::kDeadLink;
+        return route::kKeepWalking;
+      });
+  return status == route::RouteStatus::kOk;
 }
 
 /// BFS-oracle agreement for a deterministic sample of sources. Counts

@@ -27,6 +27,19 @@ std::uint32_t floor_log2_u64(std::uint64_t v) {
   return 63u - static_cast<std::uint32_t>(std::countl_zero(v));
 }
 
+cps::Sequence reversed(cps::Sequence seq) {
+  std::reverse(seq.stages.begin(), seq.stages.end());
+  // Played backwards, fold and unfold stages swap roles and directions.
+  for (cps::Stage& stage : seq.stages) {
+    if (stage.role == cps::StageRole::kExchange) continue;
+    stage.role = stage.role == cps::StageRole::kFold ? cps::StageRole::kUnfold
+                                                     : cps::StageRole::kFold;
+    for (cps::Pair& pr : stage.pairs) std::swap(pr.src, pr.dst);
+  }
+  seq.name = "grouped-recursive-halving";
+  return seq;
+}
+
 }  // namespace
 
 cps::Sequence grouped_recursive_doubling(
@@ -127,17 +140,12 @@ cps::Sequence grouped_recursive_doubling(const Fabric& fabric) {
 }
 
 cps::Sequence grouped_recursive_halving(const Fabric& fabric) {
-  cps::Sequence seq = grouped_recursive_doubling(fabric);
-  std::reverse(seq.stages.begin(), seq.stages.end());
-  // Played backwards, fold and unfold stages swap roles and directions.
-  for (cps::Stage& stage : seq.stages) {
-    if (stage.role == cps::StageRole::kExchange) continue;
-    stage.role = stage.role == cps::StageRole::kFold ? cps::StageRole::kUnfold
-                                                     : cps::StageRole::kFold;
-    for (cps::Pair& pr : stage.pairs) std::swap(pr.src, pr.dst);
-  }
-  seq.name = "grouped-recursive-halving";
-  return seq;
+  return reversed(grouped_recursive_doubling(fabric));
+}
+
+cps::Sequence grouped_recursive_halving(
+    const Fabric& fabric, std::span<const std::uint64_t> participants) {
+  return reversed(grouped_recursive_doubling(fabric, participants));
 }
 
 }  // namespace ftcf::core

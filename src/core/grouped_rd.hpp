@@ -45,8 +45,14 @@ namespace ftcf::core {
 [[nodiscard]] cps::Sequence grouped_recursive_doubling(
     const topo::Fabric& fabric, std::span<const std::uint64_t> participants);
 
-/// The reversed sequence (grouped recursive halving).
+/// The reversed sequence (grouped recursive halving): stages in reverse
+/// order, with fold and unfold stages swapping roles and pair directions.
 [[nodiscard]] cps::Sequence grouped_recursive_halving(
     const topo::Fabric& fabric);
+
+/// Grouped recursive halving over a participant subset (ranks as in the
+/// grouped_recursive_doubling overload).
+[[nodiscard]] cps::Sequence grouped_recursive_halving(
+    const topo::Fabric& fabric, std::span<const std::uint64_t> participants);
 
 }  // namespace ftcf::core

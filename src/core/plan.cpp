@@ -1,7 +1,5 @@
 #include "core/plan.hpp"
 
-#include <algorithm>
-
 namespace ftcf::core {
 
 namespace {
@@ -33,14 +31,10 @@ cps::Sequence CollectivePlan::sequence_for(cps::CpsKind kind) const {
       if (participants_)
         return grouped_recursive_doubling(*fabric_, *participants_);
       return grouped_recursive_doubling(*fabric_);
-    case cps::CpsKind::kRecursiveHalving: {
-      cps::Sequence seq =
-          participants_ ? grouped_recursive_doubling(*fabric_, *participants_)
-                        : grouped_recursive_doubling(*fabric_);
-      std::reverse(seq.stages.begin(), seq.stages.end());
-      seq.name = "grouped-recursive-halving";
-      return seq;
-    }
+    case cps::CpsKind::kRecursiveHalving:
+      if (participants_)
+        return grouped_recursive_halving(*fabric_, *participants_);
+      return grouped_recursive_halving(*fabric_);
     default:
       return cps::generate(kind, p);
   }

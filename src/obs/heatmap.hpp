@@ -35,7 +35,7 @@ struct HeatmapCell {
   std::uint64_t packets = 0;    ///< kPacketForwarded events
   std::uint64_t flows = 0;      ///< distinct message ids (dynamic link load)
   std::uint32_t max_queue = 0;  ///< queue-depth high-watermark behind the link
-  std::uint32_t max_sample_permille = 0;  ///< peak kLinkSample util (flow sim)
+  std::uint32_t max_sample_permille = 0;  ///< peak kLinkSample util
 };
 
 /// Cell key; stage uses kNoStage for events outside any CPS stage.

@@ -3,8 +3,8 @@
 //
 // This is the aggregate side of the observability layer (trace.hpp is the
 // event side): the simulators register what they measure under stable dotted
-// names ("packet_sim.link_util.max", "flow_sim.live_flows", ...) and periodic
-// sampling turns end-of-run scalars like RunResult::link_busy_ns into
+// names ("packet_sim.link_util.max", "packet_sim.msg_latency_us", ...) and
+// periodic sampling turns end-of-run scalars like RunResult::link_busy_ns into
 // timelines. Instruments are owned by the registry and returned by reference;
 // hot paths resolve an instrument once and touch a plain field afterwards.
 //

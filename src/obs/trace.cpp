@@ -102,8 +102,6 @@ const char* event_kind_name(EventKind kind) noexcept {
     case EventKind::kStageBegin: return "stage_begin";
     case EventKind::kStageEnd: return "stage_end";
     case EventKind::kLinkSample: return "link_sample";
-    case EventKind::kFlowStart: return "flow_start";
-    case EventKind::kFlowEnd: return "flow_end";
     case EventKind::kPacketDropped: return "packet_dropped";
     case EventKind::kPacketRetransmit: return "packet_retransmit";
     case EventKind::kLinkDown: return "link_down";
@@ -196,8 +194,6 @@ void write_chrome_trace(std::span<const TraceEvent> events,
         break;
       case EventKind::kPacketInjected:
       case EventKind::kPacketDelivered:
-      case EventKind::kFlowStart:
-      case EventKind::kFlowEnd:
       case EventKind::kPacketRetransmit:
         host_tracks.emplace(ev.a, false);
         break;
@@ -292,17 +288,6 @@ void write_chrome_trace(std::span<const TraceEvent> events,
           << " m" << ev.b << "#" << ev.c
           << "\",\"ph\":\"i\",\"s\":\"t\",\"pid\":" << kPidHosts
           << ",\"tid\":" << ev.a << ",\"ts\":";
-        print_ts(s, ev.at);
-        w.close();
-        break;
-      }
-      case EventKind::kFlowStart:
-      case EventKind::kFlowEnd: {
-        auto& s = w.open();
-        s << "\"name\":\"flow to "
-          << json_escape(host_name(naming, ev.b)) << "\",\"ph\":\""
-          << (ev.kind == EventKind::kFlowStart ? 'B' : 'E')
-          << "\",\"pid\":" << kPidHosts << ",\"tid\":" << ev.a << ",\"ts\":";
         print_ts(s, ev.at);
         w.close();
         break;

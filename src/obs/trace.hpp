@@ -47,8 +47,6 @@ namespace ftcf::obs {
 ///   kStageBegin       a=stage index
 ///   kStageEnd         a=stage index
 ///   kLinkSample       a=src port    b=util permille (window)  c=queue depth
-///   kFlowStart        a=src host    b=dst host    c=KiB (flow sim)
-///   kFlowEnd          a=src host    b=dst host
 ///   kPacketDropped    a=port where dropped          b=msg id  c=seq
 ///   kPacketRetransmit a=host        b=msg id      c=seq
 ///   kLinkDown         a=src port (cable dies; peer gets its own event)
@@ -62,8 +60,6 @@ enum class EventKind : std::uint8_t {
   kStageBegin,
   kStageEnd,
   kLinkSample,
-  kFlowStart,
-  kFlowEnd,
   kPacketDropped,
   kPacketRetransmit,
   kLinkDown,

@@ -16,15 +16,6 @@ using topo::NodeId;
 using topo::PortId;
 using util::expects;
 
-namespace {
-
-std::uint32_t entry_or_unrouted(const ForwardingTables& tables, NodeId sw,
-                                std::uint64_t dest) {
-  return tables.has_entry(sw, dest) ? tables.out_port(sw, dest) : kUnroutedPort;
-}
-
-}  // namespace
-
 IncrementalRepair::IncrementalRepair(const Fabric& fabric,
                                      const LinkHealth& initial)
     : fabric_(&fabric),
@@ -116,7 +107,7 @@ void IncrementalRepair::recompute_columns(
     for (std::size_t i = 0; i < dests.size(); ++i) {
       before[i].reserve(switch_ids.size());
       for (const NodeId sw : switch_ids)
-        before[i].push_back(entry_or_unrouted(tables_, sw, dests[i]));
+        before[i].push_back(tables_.entry(sw, dests[i]));
     }
   }
 
@@ -142,7 +133,7 @@ void IncrementalRepair::recompute_columns(
     if (delta != nullptr) {
       std::uint64_t changed = 0;
       for (std::size_t j = 0; j < switch_ids.size(); ++j)
-        if (before[i][j] != entry_or_unrouted(tables_, switch_ids[j], dest))
+        if (before[i][j] != tables_.entry(switch_ids[j], dest))
           ++changed;
       if (changed > 0) {
         delta->changed_dests.push_back(dest);

@@ -25,9 +25,14 @@ std::size_t ForwardingTables::slot(topo::NodeId sw, std::uint64_t dest) const {
 
 std::uint32_t ForwardingTables::out_port(topo::NodeId sw,
                                          std::uint64_t dest) const {
-  const std::uint32_t port = table_[slot(sw, dest)];
+  const std::uint32_t port = entry(sw, dest);
   expects(port != kUnroutedPort, "LFT entry was never programmed");
   return port;
+}
+
+std::uint32_t ForwardingTables::entry(topo::NodeId sw,
+                                      std::uint64_t dest) const {
+  return table_[slot(sw, dest)];
 }
 
 void ForwardingTables::set_out_port(topo::NodeId sw, std::uint64_t dest,
@@ -39,7 +44,7 @@ void ForwardingTables::set_out_port(topo::NodeId sw, std::uint64_t dest,
 }
 
 bool ForwardingTables::has_entry(topo::NodeId sw, std::uint64_t dest) const {
-  return table_[slot(sw, dest)] != kUnroutedPort;
+  return entry(sw, dest) != kUnroutedPort;
 }
 
 void ForwardingTables::clear_entry(topo::NodeId sw, std::uint64_t dest) {

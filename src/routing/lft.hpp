@@ -19,6 +19,10 @@ class ForwardingTables {
   /// forward towards hosts that are unreachable, so this is total.
   [[nodiscard]] std::uint32_t out_port(topo::NodeId sw, std::uint64_t dest) const;
 
+  /// The (switch, destination) entry as stored: its out-port index, or
+  /// kUnroutedPort when it was never programmed.
+  [[nodiscard]] std::uint32_t entry(topo::NodeId sw, std::uint64_t dest) const;
+
   void set_out_port(topo::NodeId sw, std::uint64_t dest, std::uint32_t port);
 
   /// True when the (switch, destination) entry has been programmed.

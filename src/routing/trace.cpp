@@ -5,43 +5,45 @@
 namespace ftcf::route {
 
 using topo::Fabric;
-using util::ensures;
-using util::expects;
+
+const char* route_status_name(RouteStatus status) noexcept {
+  switch (status) {
+    case RouteStatus::kOk: return "ok";
+    case RouteStatus::kUnrouted: return "unrouted";
+    case RouteStatus::kLoop: return "loop";
+    case RouteStatus::kForeignHost: return "foreign-host";
+    case RouteStatus::kNotUpDown: return "not-up-down";
+    case RouteStatus::kDeadLink: return "dead-link";
+  }
+  return "?";
+}
 
 std::uint32_t host_up_port(const Fabric& fabric, std::uint64_t src,
                            std::uint64_t dest) {
-  const topo::Node& host = fabric.node(fabric.host_node(src));
-  if (host.num_up_ports == 1) return 0;
-  return static_cast<std::uint32_t>(dest % host.num_up_ports);
+  return host_up_port(fabric.node(fabric.host_node(src)), dest);
+}
+
+void require_delivered(RouteStatus status) {
+  util::ensures(status != RouteStatus::kLoop, "forwarding tables loop");
+  util::ensures(status != RouteStatus::kForeignHost,
+                "route crossed a foreign host");
+  util::expects(status != RouteStatus::kUnrouted,
+                "LFT entry was never programmed");
+  util::ensures(status == RouteStatus::kOk, "route not delivered");
 }
 
 std::vector<topo::PortId> trace_route(const Fabric& fabric,
                                       const ForwardingTables& tables,
                                       std::uint64_t src, std::uint64_t dst) {
-  expects(src < fabric.num_hosts() && dst < fabric.num_hosts(),
-          "trace endpoints must be valid hosts");
+  util::expects(src < fabric.num_hosts() && dst < fabric.num_hosts(),
+                "trace endpoints must be valid hosts");
   std::vector<topo::PortId> links;
-  if (src == dst) return links;
-
-  const topo::NodeId dst_node = fabric.host_node(dst);
-  topo::NodeId at = fabric.host_node(src);
-  std::uint32_t out_index =
-      fabric.node(at).num_down_ports + host_up_port(fabric, src, dst);
-
-  // A minimal fat-tree route has at most 2h+1 links; allow slack so that a
-  // malformed table is reported as a loop, not an infinite walk.
-  const std::size_t max_links = 2ull * fabric.height() + 2;
-  while (true) {
-    ensures(links.size() <= max_links, "forwarding tables loop");
-    const topo::PortId out = fabric.port_id(at, out_index);
-    links.push_back(out);
-    const topo::PortId in = fabric.port(out).peer;
-    at = fabric.port(in).node;
-    if (at == dst_node) return links;
-    ensures(fabric.node(at).kind == topo::NodeKind::kSwitch,
-            "route crossed a foreign host");
-    out_index = tables.out_port(at, dst);
-  }
+  require_delivered(walk_lft(fabric, tables, fabric.host_node(src), dst,
+                             [&](const RouteHop& hop) {
+                               links.push_back(hop.out);
+                               return kKeepWalking;
+                             }));
+  return links;
 }
 
 std::size_t route_hops(const Fabric& fabric, const ForwardingTables& tables,

@@ -11,34 +11,14 @@ using topo::ValidationReport;
 
 namespace {
 
-void check_pair(const Fabric& fabric, const ForwardingTables& tables,
-                std::uint64_t src, std::uint64_t dst,
-                ValidationReport& report) {
-  std::vector<topo::PortId> links;
-  try {
-    links = trace_route(fabric, tables, src, dst);
-  } catch (const std::exception& ex) {
-    std::ostringstream oss;
-    oss << "route " << src << " -> " << dst << " failed: " << ex.what();
-    report.fail(oss.str());
-    return;
-  }
-  // up*/down*: once a link goes down (out of a down-going port), every later
-  // link must also go down.
-  bool descending = false;
-  for (const topo::PortId pid : links) {
-    const topo::Port& pt = fabric.port(pid);
-    const topo::Node& n = fabric.node(pt.node);
-    const bool up = pt.index >= n.num_down_ports;
-    if (up && descending) {
-      std::ostringstream oss;
-      oss << "route " << src << " -> " << dst
-          << " turns upward after descending (not up*/down*)";
-      report.fail(oss.str());
-      return;
-    }
-    if (!up) descending = true;
-  }
+/// One-line problem report for an undelivered or unsafe walk.
+std::string describe(std::uint64_t src, std::uint64_t dst,
+                     const RouteWalk& walk) {
+  std::ostringstream oss;
+  oss << "route " << src << " -> " << dst << ": "
+      << route_status_name(walk.status) << " after " << walk.links.size()
+      << " link(s)";
+  return oss.str();
 }
 
 /// Apply `fn(src, dst)` over the pair set validate_routing uses: exhaustive
@@ -65,21 +45,11 @@ ValidationReport validate_routing(const Fabric& fabric,
   ValidationReport report;
   for_each_pair(fabric.num_hosts(), exhaustive_limit,
                 [&](std::uint64_t s, std::uint64_t d) {
-                  check_pair(fabric, tables, s, d, report);
+                  const RouteWalk walk = walk_route(fabric, tables, s, d);
+                  if (walk.status != RouteStatus::kOk)
+                    report.fail(describe(s, d, walk));
                 });
   return report;
-}
-
-const char* route_status_name(RouteStatus status) noexcept {
-  switch (status) {
-    case RouteStatus::kOk: return "ok";
-    case RouteStatus::kUnrouted: return "unrouted";
-    case RouteStatus::kLoop: return "loop";
-    case RouteStatus::kForeignHost: return "foreign-host";
-    case RouteStatus::kNotUpDown: return "not-up-down";
-    case RouteStatus::kDeadLink: return "dead-link";
-  }
-  return "?";
 }
 
 RouteWalk walk_route(const Fabric& fabric, const ForwardingTables& tables,
@@ -88,49 +58,21 @@ RouteWalk walk_route(const Fabric& fabric, const ForwardingTables& tables,
   util::expects(src < fabric.num_hosts() && dst < fabric.num_hosts(),
                 "walk endpoints must be valid hosts");
   RouteWalk walk;
-  if (src == dst) return walk;
-
-  const topo::NodeId dst_node = fabric.host_node(dst);
-  topo::NodeId at = fabric.host_node(src);
-  std::uint32_t out_index =
-      fabric.node(at).num_down_ports + host_up_port(fabric, src, dst);
-  const std::size_t max_links = 2ull * fabric.height() + 2;
   bool descending = false;
-
-  while (true) {
-    if (walk.links.size() > max_links) {
-      walk.status = RouteStatus::kLoop;
-      return walk;
-    }
-    const topo::PortId out = fabric.port_id(at, out_index);
-    walk.links.push_back(out);
-    const bool up = out_index >= fabric.node(at).num_down_ports;
-    if (up && descending) {
-      walk.status = RouteStatus::kNotUpDown;
-      return walk;
-    }
-    if (!up) descending = true;
-    if (faults != nullptr &&
-        (!faults->node_up(at) || !faults->link_up(out))) {
-      walk.status = RouteStatus::kDeadLink;
-      return walk;
-    }
-    at = fabric.port(fabric.port(out).peer).node;
-    if (faults != nullptr && !faults->node_up(at)) {
-      walk.status = RouteStatus::kDeadLink;
-      return walk;
-    }
-    if (at == dst_node) return walk;  // kOk
-    if (fabric.node(at).kind != topo::NodeKind::kSwitch) {
-      walk.status = RouteStatus::kForeignHost;
-      return walk;
-    }
-    if (!tables.has_entry(at, dst)) {
-      walk.status = RouteStatus::kUnrouted;
-      return walk;
-    }
-    out_index = tables.out_port(at, dst);
-  }
+  walk.status = walk_lft(
+      fabric, tables, fabric.host_node(src), dst,
+      [&](const RouteHop& hop) -> std::optional<RouteStatus> {
+        walk.links.push_back(hop.out);
+        const bool up = fabric.is_up_port(hop.from, fabric.port(hop.out).index);
+        if (up && descending) return RouteStatus::kNotUpDown;
+        if (!up) descending = true;
+        if (faults != nullptr &&
+            (!faults->node_up(hop.from) || !faults->link_up(hop.out) ||
+             !faults->node_up(hop.to)))
+          return RouteStatus::kDeadLink;
+        return kKeepWalking;
+      });
+  return walk;
 }
 
 std::string LftAudit::first_problem() const {
@@ -169,11 +111,7 @@ LftAudit validate_lft(const Fabric& fabric, const ForwardingTables& tables,
         break;
       default: {
         if (walk.status == RouteStatus::kNotUpDown) ++audit.not_updown_routes;
-        std::ostringstream oss;
-        oss << "route " << s << " -> " << d << ": "
-            << route_status_name(walk.status) << " after "
-            << walk.links.size() << " link(s)";
-        audit.problems.push_back(oss.str());
+        audit.problems.push_back(describe(s, d, walk));
         break;
       }
     }

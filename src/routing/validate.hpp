@@ -25,18 +25,6 @@ topo::ValidationReport validate_routing(const topo::Fabric& fabric,
                                         const ForwardingTables& tables,
                                         std::uint64_t exhaustive_limit = 512);
 
-/// Outcome of walking one (src, dst) pair through the tables.
-enum class RouteStatus : std::uint8_t {
-  kOk,           ///< delivered, up*/down*
-  kUnrouted,     ///< hit an unprogrammed LFT entry (typed unreachability)
-  kLoop,         ///< exceeded the maximal fat-tree route length
-  kForeignHost,  ///< delivered to the wrong host
-  kNotUpDown,    ///< turned upward after descending (deadlock hazard)
-  kDeadLink,     ///< crossed a statically-down link or dead node
-};
-
-[[nodiscard]] const char* route_status_name(RouteStatus status) noexcept;
-
 struct RouteWalk {
   RouteStatus status = RouteStatus::kOk;
   std::vector<topo::PortId> links;  ///< links walked (up to the failure)

@@ -35,7 +35,7 @@
 
 #include "obs/profile.hpp"
 #include "obs/trace.hpp"
-#include "sim/typed_queue.hpp"
+#include "sim/keyed_queue.hpp"
 #include "util/expects.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"

@@ -44,7 +44,7 @@ struct RunResult {
   util::Accumulator message_latency_us;  ///< injection-start to last byte
 
   // Per-directed-link observations, indexed by the source PortId
-  // (packet sim only; empty for the fluid simulator).
+  // (filled by the packet engines).
   /// Total serialization time carried per link, in nanoseconds of simulation
   /// time (the same unit as `makespan`). A packet's full serialization time
   /// is charged when its transfer is granted, so the last grant can overhang

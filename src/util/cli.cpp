@@ -133,4 +133,17 @@ void Cli::print_help(std::ostream& os) const {
   }
 }
 
+int guarded_main(int argc, char** argv, int (*run)(int, char**),
+                 int other_error_code) {
+  try {
+    return run(argc, argv);
+  } catch (const Error& ex) {
+    std::cerr << "error: " << ex.what() << '\n';
+    return 2;
+  } catch (const std::exception& ex) {
+    std::cerr << "error: " << ex.what() << '\n';
+    return other_error_code;
+  }
+}
+
 }  // namespace ftcf::util

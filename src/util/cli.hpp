@@ -1,4 +1,5 @@
-// Minimal command-line option parser for the bench and example binaries.
+// Minimal command-line option parser for the bench and example binaries,
+// plus the exit-code contract every binary's main() shares.
 //
 // Supports `--name value`, `--name=value` and boolean `--flag`. Unknown
 // options are an error so typos in sweep scripts fail fast.
@@ -52,5 +53,13 @@ class Cli {
   std::map<std::string, Opt> opts_;
   std::vector<std::string> declared_order_;
 };
+
+/// Every binary's main(): returns `run(argc, argv)`. A util::Error escaping
+/// it (an unknown flag, a malformed spec or input file) prints one
+/// "error: ..." line to stderr and exits 2; any other std::exception prints
+/// the same line and exits `other_error_code`. Exit 1 otherwise means a
+/// failed audit, gate or check.
+int guarded_main(int argc, char** argv, int (*run)(int, char**),
+                 int other_error_code = 1);
 
 }  // namespace ftcf::util

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/grouped_rd.hpp"
 #include "topology/presets.hpp"
 
 namespace ftcf::core {
@@ -29,6 +30,36 @@ TEST(CollectivePlan, BidirectionalKindsUseGroupedSequences) {
   EXPECT_EQ(plan.sequence_for(cps::CpsKind::kRecursiveHalving).name,
             "grouped-recursive-halving");
   EXPECT_EQ(plan.sequence_for(cps::CpsKind::kShift).name, "shift");
+}
+
+void expect_same_stages(const cps::Sequence& a, const cps::Sequence& b) {
+  EXPECT_EQ(a.name, b.name);
+  EXPECT_EQ(a.num_ranks, b.num_ranks);
+  ASSERT_EQ(a.num_stages(), b.num_stages());
+  for (std::size_t s = 0; s < a.num_stages(); ++s) {
+    EXPECT_EQ(a.stages[s].role, b.stages[s].role) << "stage " << s;
+    EXPECT_EQ(a.stages[s].pairs, b.stages[s].pairs) << "stage " << s;
+  }
+}
+
+TEST(CollectivePlan, RecursiveHalvingIsTheGroupedHalvingSequence) {
+  // One implementation: the plan's halving sequence is the generator's,
+  // fold/unfold roles swapped and proxy pairs flipped, not a bare reversal.
+  // K=18 levels are not powers of two, so fold and unfold stages exist.
+  const Fabric fabric(topo::paper_cluster(324));
+  const CollectivePlan plan(fabric);
+  const cps::Sequence seq =
+      plan.sequence_for(cps::CpsKind::kRecursiveHalving);
+  expect_same_stages(seq, grouped_recursive_halving(fabric));
+  ASSERT_FALSE(seq.stages.empty());
+  EXPECT_EQ(seq.stages.front().role, cps::StageRole::kFold);
+
+  std::vector<std::uint64_t> participants;
+  for (std::uint64_t j = 0; j < fabric.num_hosts(); j += 2)
+    participants.push_back(j);
+  const CollectivePlan job(fabric, participants);
+  expect_same_stages(job.sequence_for(cps::CpsKind::kRecursiveHalving),
+                     grouped_recursive_halving(fabric, participants));
 }
 
 TEST(CollectivePlan, NaiveRecursiveDoublingWouldCongest) {

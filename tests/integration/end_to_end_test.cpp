@@ -10,7 +10,6 @@
 #include "collectives/oracle.hpp"
 #include "core/plan.hpp"
 #include "core/theorems.hpp"
-#include "sim/flow_sim.hpp"
 #include "sim/packet_sim.hpp"
 #include "topology/presets.hpp"
 #include "topology/topo_io.hpp"
@@ -79,24 +78,6 @@ TEST(EndToEnd, RandomOrderLosesBandwidthOrderedDoesNot) {
       psim.run(random_traffic, sim::Progression::kSynchronized).normalized_bw;
   EXPECT_GT(bw_ordered, 0.85);
   EXPECT_LT(bw_random, 0.75 * bw_ordered);
-}
-
-TEST(EndToEnd, FlowAndPacketSimulatorsAgreeOnContendedTraffic) {
-  // On a pattern with output contention but no deep HoL chains the fluid
-  // model should approximate the packet model.
-  const topo::Fabric fabric(topo::fig4b_pgft16());
-  const auto tables = route::DModKRouter{}.compute(fabric);
-  sim::StageTraffic st(16);
-  st.add(0, 4, 4 << 20);
-  st.add(1, 8, 4 << 20);
-  st.add(4, 0, 4 << 20);
-  st.add(8, 12, 4 << 20);
-  sim::PacketSim psim(fabric, tables);
-  sim::FlowSim fsim(fabric, tables);
-  const auto pkt = psim.run({st}, sim::Progression::kAsync);
-  const auto flw = fsim.run({st}, sim::Progression::kAsync);
-  EXPECT_EQ(pkt.bytes_delivered, flw.bytes_delivered);
-  EXPECT_NEAR(pkt.normalized_bw, flw.normalized_bw, 0.12);
 }
 
 TEST(EndToEnd, TopoFileRoundTripPreservesRoutingBehaviour) {

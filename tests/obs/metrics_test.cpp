@@ -11,7 +11,6 @@
 #include "obs/sim_hooks.hpp"
 #include "obs/trace.hpp"
 #include "routing/dmodk.hpp"
-#include "sim/flow_sim.hpp"
 #include "sim/packet_sim.hpp"
 #include "topology/presets.hpp"
 
@@ -198,39 +197,6 @@ TEST(Metrics, TimeSeriesDeterministicAcrossIdenticalRuns) {
   EXPECT_NE(first.find("\"packet_sim.link_util.mean\""), std::string::npos);
   EXPECT_NE(first.find("\"packet_sim.queue_depth.max\""), std::string::npos);
   EXPECT_NE(first.find("\"packet_sim.packets_delivered\""), std::string::npos);
-}
-
-TEST(Metrics, FlowSimFeedsObserverToo) {
-  const topo::Fabric fabric(topo::paper_cluster(16));
-  const auto tables = route::DModKRouter{}.compute(fabric);
-  sim::FlowSim fsim(fabric, tables);
-
-  MetricsRegistry registry;
-  TraceRecorder rec;
-  SimObserver observer;
-  observer.metrics = &registry;
-  observer.trace = &rec;
-  fsim.set_observer(observer);
-
-  const auto ordering = order::NodeOrdering::topology(fabric);
-  const auto n = fabric.num_hosts();
-  const auto result = fsim.run(
-      sim::traffic_from_cps(cps::shift(n), ordering, n, 256 * 1024),
-      sim::Progression::kSynchronized);
-  ASSERT_GT(result.messages_delivered, 0u);
-
-  EXPECT_GT(registry.counter("flow_sim.messages_delivered").value(), 0u);
-  ASSERT_NE(registry.find_series("flow_sim.live_flows"), nullptr);
-  EXPECT_GT(registry.find_series("flow_sim.live_flows")->size(), 0u);
-
-  std::size_t starts = 0;
-  std::size_t ends = 0;
-  for (const TraceEvent& ev : rec.events()) {
-    if (ev.kind == EventKind::kFlowStart) ++starts;
-    if (ev.kind == EventKind::kFlowEnd) ++ends;
-  }
-  EXPECT_EQ(starts, result.messages_delivered);
-  EXPECT_EQ(ends, result.messages_delivered);
 }
 
 TEST(Metrics, ObserverDoesNotChangeSimResults) {

@@ -5,7 +5,6 @@
 
 #include "cps/generators.hpp"
 #include "routing/dmodk.hpp"
-#include "sim/flow_sim.hpp"
 #include "sim/packet_sim.hpp"
 #include "topology/presets.hpp"
 #include "util/rng.hpp"
@@ -64,22 +63,6 @@ TEST_P(WorkloadSeeds, PacketSimIsDeterministic) {
   EXPECT_EQ(ra.events, rb.events);
   EXPECT_EQ(ra.link_busy_ns, rb.link_busy_ns);
   EXPECT_EQ(ra.max_queue_depth, rb.max_queue_depth);
-}
-
-TEST_P(WorkloadSeeds, FlowSimConservesBytesAndIsDeterministic) {
-  const Fabric fabric(topo::fig4b_pgft16());
-  const auto tables = route::DModKRouter{}.compute(fabric);
-  const auto workload = random_workload(16, GetParam() + 200);
-  std::uint64_t offered = 0;
-  for (const StageTraffic& st : workload) offered += st.total_bytes();
-
-  FlowSim a(fabric, tables);
-  FlowSim b(fabric, tables);
-  const RunResult ra = a.run(workload, Progression::kAsync);
-  const RunResult rb = b.run(workload, Progression::kAsync);
-  EXPECT_EQ(ra.bytes_delivered, offered);
-  EXPECT_EQ(ra.makespan, rb.makespan);
-  EXPECT_EQ(ra.messages_delivered, rb.messages_delivered);
 }
 
 TEST(Determinism, PacketSimInstanceIsReusable) {

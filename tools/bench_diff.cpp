@@ -87,53 +87,50 @@ bool check_floors(const ftcf::obs::BenchSample& current,
   return ok;
 }
 
+int run_main(int argc, char** argv) {
+  using namespace ftcf;
+  util::Cli cli("bench_diff",
+                "diff two BENCH_*.json exports, fail on perf regressions");
+  cli.add_option("baseline", "committed baseline BENCH_*.json", "");
+  cli.add_option("current", "freshly produced BENCH_*.json", "");
+  cli.add_option("threshold",
+                 "regression fraction that fails (0.15 = 15%)", "0.15");
+  cli.add_flag("strict-missing",
+               "fail when a baseline case is absent from current "
+               "(default: warn and skip)");
+  cli.add_option("min-gauge",
+                 "absolute gauge floors as KEY:VALUE[,KEY:VALUE...]; a "
+                 "current gauge below its floor (or missing) fails",
+                 "");
+  if (!cli.parse(argc, argv)) return 0;
+  if (cli.str("baseline").empty() || cli.str("current").empty())
+    throw util::Error("need --baseline and --current");
+  const auto threshold = util::parse_f64(cli.str("threshold"));
+  if (!threshold || !(*threshold >= 0))
+    throw util::Error("--threshold must be a non-negative number");
+  const auto floors = parse_floors(cli.str("min-gauge"));
+
+  const obs::BenchSample baseline = load_sample(cli.str("baseline"));
+  const obs::BenchSample current = load_sample(cli.str("current"));
+  const obs::BenchComparison cmp =
+      obs::compare_bench(baseline, current, *threshold);
+  obs::write_bench_diff_text(std::cout, cmp);
+
+  for (const std::string& name : cmp.missing)
+    std::cerr << "warning: baseline case '" << name
+              << "' absent from current (skipped)\n";
+  for (const std::string& name : cmp.added)
+    std::cerr << "warning: current case '" << name
+              << "' absent from baseline (skipped)\n";
+  const bool floors_ok = check_floors(current, floors);
+  const bool missing_fails =
+      !cmp.missing.empty() && cli.flag("strict-missing");
+  return cmp.regressed() || missing_fails || !floors_ok ? 1 : 0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  using namespace ftcf;
-  try {
-    util::Cli cli("bench_diff",
-                  "diff two BENCH_*.json exports, fail on perf regressions");
-    cli.add_option("baseline", "committed baseline BENCH_*.json", "");
-    cli.add_option("current", "freshly produced BENCH_*.json", "");
-    cli.add_option("threshold",
-                   "regression fraction that fails (0.15 = 15%)", "0.15");
-    cli.add_flag("strict-missing",
-                 "fail when a baseline case is absent from current "
-                 "(default: warn and skip)");
-    cli.add_option("min-gauge",
-                   "absolute gauge floors as KEY:VALUE[,KEY:VALUE...]; a "
-                   "current gauge below its floor (or missing) fails",
-                   "");
-    if (!cli.parse(argc, argv)) return 0;
-    if (cli.str("baseline").empty() || cli.str("current").empty())
-      throw util::Error("need --baseline and --current");
-    const auto threshold = util::parse_f64(cli.str("threshold"));
-    if (!threshold || !(*threshold >= 0))
-      throw util::Error("--threshold must be a non-negative number");
-    const auto floors = parse_floors(cli.str("min-gauge"));
-
-    const obs::BenchSample baseline = load_sample(cli.str("baseline"));
-    const obs::BenchSample current = load_sample(cli.str("current"));
-    const obs::BenchComparison cmp =
-        obs::compare_bench(baseline, current, *threshold);
-    obs::write_bench_diff_text(std::cout, cmp);
-
-    for (const std::string& name : cmp.missing)
-      std::cerr << "warning: baseline case '" << name
-                << "' absent from current (skipped)\n";
-    for (const std::string& name : cmp.added)
-      std::cerr << "warning: current case '" << name
-                << "' absent from baseline (skipped)\n";
-    const bool floors_ok = check_floors(current, floors);
-    const bool missing_fails =
-        !cmp.missing.empty() && cli.flag("strict-missing");
-    return cmp.regressed() || missing_fails || !floors_ok ? 1 : 0;
-  } catch (const util::Error& ex) {
-    std::cerr << "error: " << ex.what() << '\n';
-    return 2;
-  } catch (const std::exception& ex) {
-    std::cerr << "error: " << ex.what() << '\n';
-    return 2;
-  }
+  // Any failure to read or compare the inputs is a usage error: exit 2.
+  return ftcf::util::guarded_main(argc, argv, run_main, 2);
 }

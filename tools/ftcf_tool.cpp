@@ -961,9 +961,7 @@ int cmd_churn(int argc, const char* const* argv) {
   return 0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run_main(int argc, char** argv) {
   const std::string usage =
       "usage: ftcf_tool "
       "<topo|route|hsd|simulate|inject|check|churn|theorems|report> "
@@ -974,24 +972,23 @@ int main(int argc, char** argv) {
     return 2;
   }
   const std::string command = argv[1];
-  try {
-    if (command == "topo") return cmd_topo(argc - 1, argv + 1);
-    if (command == "route") return cmd_route(argc - 1, argv + 1);
-    if (command == "hsd") return cmd_hsd(argc - 1, argv + 1);
-    if (command == "simulate") return cmd_simulate(argc - 1, argv + 1);
-    if (command == "inject") return cmd_inject(argc - 1, argv + 1);
-    if (command == "check") return cmd_check(argc - 1, argv + 1);
-    if (command == "churn") return cmd_churn(argc - 1, argv + 1);
-    if (command == "theorems") return cmd_theorems(argc - 1, argv + 1);
-    if (command == "report") return cmd_report(argc - 1, argv + 1);
-    std::cerr << "unknown command '" << command << "'\n" << usage;
-    return 2;
-  } catch (const util::Error& ex) {
-    // Typed library errors are usage/input mistakes: exit 2, one diagnostic.
-    std::cerr << "error: " << ex.what() << '\n';
-    return 2;
-  } catch (const std::exception& ex) {
-    std::cerr << "error: " << ex.what() << '\n';
-    return 1;
-  }
+  if (command == "topo") return cmd_topo(argc - 1, argv + 1);
+  if (command == "route") return cmd_route(argc - 1, argv + 1);
+  if (command == "hsd") return cmd_hsd(argc - 1, argv + 1);
+  if (command == "simulate") return cmd_simulate(argc - 1, argv + 1);
+  if (command == "inject") return cmd_inject(argc - 1, argv + 1);
+  if (command == "check") return cmd_check(argc - 1, argv + 1);
+  if (command == "churn") return cmd_churn(argc - 1, argv + 1);
+  if (command == "theorems") return cmd_theorems(argc - 1, argv + 1);
+  if (command == "report") return cmd_report(argc - 1, argv + 1);
+  std::cerr << "unknown command '" << command << "'\n" << usage;
+  return 2;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // Typed library errors are usage/input mistakes: exit 2; anything else
+  // escaping a command is an internal failure: exit 1.
+  return util::guarded_main(argc, argv, run_main);
 }
