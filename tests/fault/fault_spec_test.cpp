@@ -50,6 +50,9 @@ struct BadSpec {
   const char* text;
 };
 
+// Print the label, so test names never carry pointer bytes.
+void PrintTo(const BadSpec& c, std::ostream* os) { *os << c.label; }
+
 class MalformedFaults : public ::testing::TestWithParam<BadSpec> {};
 
 INSTANTIATE_TEST_SUITE_P(

@@ -21,6 +21,9 @@ struct Case {
   Expect expect;
 };
 
+// Print the case name, so test names never carry pointer bytes.
+void PrintTo(const Case& c, std::ostream* os) { *os << c.name; }
+
 class MalformedTopo : public ::testing::TestWithParam<Case> {};
 
 TEST_P(MalformedTopo, RaisesTypedError) {

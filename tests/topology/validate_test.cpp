@@ -5,6 +5,11 @@
 #include "topology/presets.hpp"
 
 namespace ftcf::topo {
+
+// Print the preset name, so test names never carry pointer bytes. It lives
+// outside the unnamed namespace so that gtest finds it by ADL on Preset.
+static void PrintTo(const Preset& p, std::ostream* os) { *os << p.name; }
+
 namespace {
 
 class ValidatePresetTest : public ::testing::TestWithParam<Preset> {};
