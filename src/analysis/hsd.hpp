@@ -35,7 +35,45 @@ struct StageMetrics {
   std::uint32_t max_host_hsd = 0;    ///< max over NIC injection/delivery links
   std::uint64_t num_flows = 0;       ///< routed flows (src != dst)
   std::uint64_t unroutable_flows = 0;  ///< flows skipped (degraded tables)
-  topo::PortId hottest_port = topo::kInvalidPort;
+  std::uint64_t links_loaded = 0;    ///< directed links carrying >= 1 flow
+  topo::PortId hottest_port = topo::kInvalidPort;  ///< lowest on ties
+};
+
+/// Which per-class HSD maximum a directed link feeds.
+enum class LinkClass : std::uint8_t {
+  kInjection,  ///< host NIC up link
+  kUp,         ///< switch up-going port (Theorem 1)
+  kDown,       ///< switch down-going port into a switch (Theorem 2)
+  kDelivery,   ///< leaf port into a host: Theorem 2 and a NIC link
+};
+
+/// The LinkClass of every port, indexed by PortId.
+[[nodiscard]] std::vector<LinkClass> link_classes(const topo::Fabric& fabric);
+
+/// One stage's per-link flow counts plus the links they touched, so folding
+/// and resetting cost O(loaded links) instead of O(all ports).
+class StageLoads {
+ public:
+  /// Size for `num_ports` links and drop every count of the previous stage
+  /// (also one abandoned midway by an exception).
+  void reset(std::size_t num_ports);
+  void add(topo::PortId pid) {
+    if (loads_[pid]++ == 0) touched_.push_back(pid);
+  }
+  [[nodiscard]] std::uint32_t load(topo::PortId pid) const {
+    return loads_[pid];
+  }
+  /// Loaded links, in first-touch order.
+  [[nodiscard]] std::span<const topo::PortId> touched() const noexcept {
+    return touched_;
+  }
+  /// The per-class maxima, links_loaded and the hottest link (the lowest
+  /// PortId attaining the maximum). Flow counts are left to the caller.
+  [[nodiscard]] StageMetrics fold(std::span<const LinkClass> classes) const;
+
+ private:
+  std::vector<std::uint32_t> loads_;
+  std::vector<topo::PortId> touched_;
 };
 
 struct SequenceMetrics {
@@ -58,7 +96,7 @@ class HsdAnalyzer {
 
    private:
     friend class HsdAnalyzer;
-    std::vector<std::uint32_t> link_loads_;
+    StageLoads loads_;
     std::vector<topo::PortId> walked_;
   };
 
@@ -98,6 +136,7 @@ class HsdAnalyzer {
  private:
   const topo::Fabric* fabric_;
   const route::ForwardingTables* tables_;
+  std::vector<LinkClass> classes_;
   bool tolerate_unroutable_ = false;
 };
 

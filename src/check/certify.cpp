@@ -4,33 +4,15 @@
 #include <ostream>
 #include <sstream>
 
-#include "analysis/hsd.hpp"
 #include "check/depgraph.hpp"
+#include "check/leaf_paths.hpp"
 #include "obs/profile.hpp"
-#include "routing/trace.hpp"
 #include "util/thread_pool.hpp"
 
 namespace ftcf::check {
 
 using topo::Fabric;
 using topo::PortId;
-
-namespace {
-
-/// True when the (src, dst) flow's route crosses `link`, including the
-/// prefix a flow stranded by an unprogrammed entry walked before stopping.
-bool flow_uses_link(const Fabric& fabric, const route::ForwardingTables& tables,
-                    std::uint64_t src, std::uint64_t dst, PortId link) {
-  bool crossed = false;
-  route::walk_lft(fabric, tables, fabric.host_node(src), dst,
-                  [&](const route::RouteHop& hop) {
-                    crossed = crossed || hop.out == link;
-                    return route::kKeepWalking;
-                  });
-  return crossed;
-}
-
-}  // namespace
 
 std::string detail::blame_rule(const Diagnostics& lints, std::size_t stage) {
   const std::string stage_loc = "stage " + std::to_string(stage);
@@ -72,56 +54,39 @@ Certificate certify_contention_freedom(const Fabric& fabric,
                                        const order::NodeOrdering& ordering,
                                        const cps::Sequence& sequence) {
   FTCF_PROF_SCOPE("check.certify");
-  analysis::HsdAnalyzer analyzer(fabric, tables);
-  // Tolerate incomplete tables: stranded flows are counted per stage and
-  // void the certificate instead of aborting the analysis.
-  analyzer.set_tolerate_unroutable(true);
+  // Incomplete tables are tolerated: stranded flows are counted per stage
+  // and void the certificate instead of aborting the analysis.
+  const detail::LeafPaths paths = [&] {
+    FTCF_PROF_SCOPE("check.certify.paths");
+    return detail::LeafPaths(fabric, tables, ordering, sequence);
+  }();
 
   struct StageResult {
     StageWitness witness;
-    PortId hot = topo::kInvalidPort;
-    std::vector<CollidingFlow> colliding;
+    PortId hot = topo::kInvalidPort;  ///< set when max_hsd > 1
   };
-
   const std::size_t num_stages = sequence.stages.size();
-  const par::ForOptions options{.threads = 0, .grain = 1,
-                                .label = "check.certify"};
-  const std::uint32_t width = par::region_width(num_stages, options);
-  std::vector<analysis::HsdAnalyzer::Workspace> workspaces(width);
-  std::vector<std::vector<std::uint32_t>> loads_scratch(width);
   std::vector<StageResult> per_stage(num_stages);
-
-  par::parallel_for(
-      num_stages,
-      [&](std::size_t s, std::uint32_t worker) {
-        const cps::Stage& stage = sequence.stages[s];
-        StageResult& result = per_stage[s];
-        result.witness.shape =
-            classify_stage_shape(stage, sequence.num_ranks);
-        if (stage.empty()) return;
-        const std::vector<cps::Pair> flows = ordering.map_stage(stage);
-        std::vector<std::uint32_t>& loads = loads_scratch[worker];
-        const analysis::StageMetrics metrics =
-            analyzer.analyze_stage(flows, workspaces[worker], &loads);
-        result.witness.max_hsd = metrics.max_hsd;
-        result.witness.max_up_hsd = metrics.max_up_hsd;
-        result.witness.max_down_hsd = metrics.max_down_hsd;
-        result.witness.num_flows = metrics.num_flows;
-        result.witness.unroutable_flows = metrics.unroutable_flows;
-        for (const std::uint32_t load : loads)
-          if (load > 0) ++result.witness.links_loaded;
-        if (metrics.max_hsd > 1) {
-          // Root-cause evidence: the flows actually crossing the hot link,
-          // in stage-pair order (deterministic re-walk, thread-independent).
-          result.hot = metrics.hottest_port;
-          for (const cps::Pair& flow : flows) {
-            if (result.colliding.size() == kMaxCollidingShown) break;
-            if (flow_uses_link(fabric, tables, flow.src, flow.dst, result.hot))
-              result.colliding.push_back({flow.src, flow.dst});
-          }
-        }
-      },
-      options);
+  {
+    FTCF_PROF_SCOPE("check.certify.stages");
+    const par::ForOptions options{.threads = 0, .grain = 1,
+                                  .label = "check.certify"};
+    std::vector<analysis::StageLoads> loads(
+        par::region_width(num_stages, options));
+    par::parallel_for(
+        num_stages,
+        [&](std::size_t s, std::uint32_t worker) {
+          const cps::Stage& stage = sequence.stages[s];
+          StageResult& result = per_stage[s];
+          if (!stage.empty())
+            result.witness =
+                paths.fold_stage(stage.pairs, loads[worker], result.hot);
+          if (result.witness.max_hsd <= 1) result.hot = topo::kInvalidPort;
+          result.witness.shape =
+              classify_stage_shape(stage, sequence.num_ranks);
+        },
+        options);
+  }
 
   // Serial stage-order fold: certificates are byte-identical at any thread
   // count.
@@ -131,7 +96,7 @@ Certificate certify_contention_freedom(const Fabric& fabric,
   cert.contention_free = true;
   cert.stages.reserve(num_stages);
   for (std::size_t s = 0; s < num_stages; ++s) {
-    StageResult& result = per_stage[s];
+    const StageResult& result = per_stage[s];
     cert.stages.push_back(result.witness);
     if (result.witness.unroutable_flows > 0) cert.contention_free = false;
     if (result.hot == topo::kInvalidPort) continue;
@@ -140,21 +105,31 @@ Certificate certify_contention_freedom(const Fabric& fabric,
     blame.stage = s;
     blame.max_hsd = result.witness.max_hsd;
     blame.hot_link = result.hot;
-    blame.hot_link_name = channel_to_string(fabric, result.hot);
-    blame.colliding = std::move(result.colliding);
     cert.blames.push_back(std::move(blame));
   }
+  if (cert.blames.empty()) return cert;
 
-  if (!cert.blames.empty()) {
-    // One scratch lint pass explains every violating stage.
-    Diagnostics lints;
-    lint_fabric(fabric, lints);
-    lint_ordering(fabric, ordering, lints);
-    lint_sequence(sequence, lints);
-    lint_tables(fabric, tables, /*degraded_expected=*/false, lints);
-    for (StageBlame& blame : cert.blames)
-      blame.blamed_rule = detail::blame_rule(lints, blame.stage);
-  }
+  FTCF_PROF_SCOPE("check.certify.blame");
+  // Root-cause evidence: the flows actually crossing each hot link, in
+  // stage-pair order, read from the cached paths.
+  par::parallel_for(
+      cert.blames.size(),
+      [&](std::size_t b, std::uint32_t) {
+        StageBlame& blame = cert.blames[b];
+        blame.hot_link_name = channel_to_string(fabric, blame.hot_link);
+        blame.colliding =
+            paths.colliding(sequence.stages[blame.stage].pairs,
+                            cert.stages[blame.stage], blame.hot_link);
+      },
+      par::ForOptions{.threads = 0, .grain = 1, .label = "check.certify"});
+  // One scratch lint pass explains every violating stage.
+  Diagnostics lints;
+  lint_fabric(fabric, lints);
+  lint_ordering(fabric, ordering, lints);
+  lint_sequence(sequence, lints);
+  lint_tables(fabric, tables, /*degraded_expected=*/false, lints);
+  for (StageBlame& blame : cert.blames)
+    blame.blamed_rule = detail::blame_rule(lints, blame.stage);
   return cert;
 }
 

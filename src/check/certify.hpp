@@ -6,10 +6,10 @@
 // grouped recursive doubling (Theorem 3) loads every directed link with at
 // most one flow — HSD = 1, contention-free. The certifier derives the
 // per-link flow counts of every stage from the (topology, LFT, order, CPS)
-// tuple — the same inline route walk as analysis::HsdAnalyzer, fanned out
-// per stage over ftcf::par with per-worker workspaces and folded in stage
-// order, so the certificate is byte-identical at any thread count — and
-// emits either
+// tuple — each distinct (destination, entry leaf) route is walked once into
+// a shared cache (check/leaf_paths.hpp), every stage's loads are folded from
+// it over ftcf::par and merged in stage order, so the certificate is
+// byte-identical at any thread count — and emits either
 //   * a per-stage witness table (max HSD on up/down/all links, flows walked,
 //     links loaded, the stage's displacement shape), proving the claim, or
 //   * a root-cause blame per violating stage: the hot link, the colliding
@@ -80,9 +80,9 @@ struct Certificate {
   std::vector<StageBlame> blames;    ///< violating stages, ascending
 };
 
-/// Derive the certificate. Stages are analyzed in parallel with per-worker
-/// workspaces and merged in stage order — the result (and its JSON) is
-/// byte-identical for every thread count.
+/// Derive the certificate. Routes are walked once per (destination, entry
+/// leaf), stages are folded from them in parallel and merged in stage order
+/// — the result (and its JSON) is byte-identical for every thread count.
 [[nodiscard]] Certificate certify_contention_freedom(
     const topo::Fabric& fabric, const route::ForwardingTables& tables,
     const order::NodeOrdering& ordering, const cps::Sequence& sequence);

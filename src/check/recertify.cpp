@@ -5,14 +5,12 @@
 
 #include "check/depgraph.hpp"
 #include "obs/profile.hpp"
-#include "routing/trace.hpp"
 #include "util/expects.hpp"
 #include "util/thread_pool.hpp"
 
 namespace ftcf::check {
 
 using topo::Fabric;
-using topo::NodeId;
 using topo::PortId;
 using util::expects;
 
@@ -31,6 +29,18 @@ void hist_shift(std::vector<std::uint32_t>& hist, std::uint32_t& max_load,
   while (max_load > 0 && hist[max_load] == 0) --max_load;
 }
 
+/// Histogram class of a link: 0 injection (counted only among all links),
+/// 1 up, 2 down (delivery links included).
+std::uint8_t hist_class(analysis::LinkClass cls) {
+  switch (cls) {
+    case analysis::LinkClass::kInjection: return 0;
+    case analysis::LinkClass::kUp: return 1;
+    case analysis::LinkClass::kDown:
+    case analysis::LinkClass::kDelivery: return 2;
+  }
+  return 0;
+}
+
 }  // namespace
 
 IncrementalCertifier::IncrementalCertifier(const Fabric& fabric,
@@ -40,42 +50,27 @@ IncrementalCertifier::IncrementalCertifier(const Fabric& fabric,
     : fabric_(&fabric),
       tables_(&tables),
       num_ranks_(sequence.num_ranks),
-      sequence_name_(sequence.name) {
+      sequence_name_(sequence.name),
+      paths_(fabric, tables, ordering, sequence) {
   FTCF_PROF_SCOPE("check.recertify_build");
 
-  port_class_.resize(fabric.num_ports());
-  for (PortId pid = 0; pid < fabric.num_ports(); ++pid) {
-    const topo::Port& pt = fabric.port(pid);
-    const topo::Node& n = fabric.node(pt.node);
-    if (n.kind == topo::NodeKind::kHost)
-      port_class_[pid] = 0;
-    else
-      port_class_[pid] = pt.index >= n.num_down_ports ? 1 : 2;
-  }
-
   const std::size_t num_stages = sequence.stages.size();
+
   stages_.resize(num_stages);
   flows_by_dest_.resize(fabric.num_hosts());
-  paths_.resize(fabric.num_hosts());
-  const std::uint64_t num_leaves = fabric.switches_at_level(1);
-
   for (std::size_t s = 0; s < num_stages; ++s) {
     StageState& st = stages_[s];
     st.shape = classify_stage_shape(sequence.stages[s], sequence.num_ranks);
-    if (sequence.stages[s].empty()) continue;
-    st.flows = ordering.map_stage(sequence.stages[s]);
-    for (std::size_t p = 0; p < st.flows.size(); ++p) {
-      const cps::Pair& flow = st.flows[p];
-      if (flow.src == flow.dst) continue;
+    st.pairs = sequence.stages[s].pairs;
+    for (std::size_t p = 0; p < st.pairs.size(); ++p) {
+      const cps::Pair& pr = st.pairs[p];
+      if (pr.src == pr.dst) continue;
       ++st.num_flows;
-      const std::uint32_t ordinal = first_leaf_ordinal(flow.src, flow.dst);
-      flows_by_dest_[flow.dst].push_back({static_cast<std::uint32_t>(s),
-                                          static_cast<std::uint32_t>(flow.src),
-                                          ordinal,
-                                          static_cast<std::uint32_t>(p)});
-      std::vector<LeafPath>& per_leaf = paths_[flow.dst];
-      if (per_leaf.empty()) per_leaf.resize(num_leaves);
-      per_leaf[ordinal].present = true;
+      const std::uint64_t dst = paths_.host(pr.dst);
+      flows_by_dest_[dst].push_back({static_cast<std::uint32_t>(s),
+                                     static_cast<std::uint32_t>(pr.src),
+                                     paths_.entry(pr.src, dst).leaf,
+                                     static_cast<std::uint32_t>(p)});
     }
   }
 
@@ -89,68 +84,51 @@ IncrementalCertifier::IncrementalCertifier(const Fabric& fabric,
     for (std::size_t s = 0; s < num_stages; ++s) offsets[s + 1] += offsets[s];
   }
 
-  // Cache every (destination, entry leaf) switch path. Destinations own
-  // disjoint cache rows, so the fill parallelizes race-free.
-  const par::ForOptions path_opts{.threads = 0, .grain = 16,
-                                  .label = "check.recertify"};
-  par::parallel_for(
-      fabric.num_hosts(),
-      [&](std::size_t dest, std::uint32_t) {
-        for (std::uint64_t o = 0; o < paths_[dest].size(); ++o) {
-          if (!paths_[dest][o].present) continue;
-          LeafPath path = walk_leafpath(dest, fabric.switch_node(1, o));
-          path.present = true;
-          paths_[dest][o] = std::move(path);
-        }
-      },
-      path_opts);
-
   // Blame inversion index: per switch link, the packed (dest, ordinal) keys
   // of every cached path crossing it. The dest-ascending, ordinal-ascending
   // fill appends packed keys in increasing order, so each per-link vector is
   // born sorted; a link repeated inside one path appends the same key twice
   // in a row and is dropped.
   link_paths_.resize(fabric.num_ports());
-  for (std::uint64_t dest = 0; dest < fabric.num_hosts(); ++dest)
-    for (std::uint64_t o = 0; o < paths_[dest].size(); ++o) {
-      if (!paths_[dest][o].present) continue;
+  for (std::uint64_t dest = 0; dest < fabric.num_hosts(); ++dest) {
+    for (std::uint32_t o = 0; o < paths_.num_leaves(); ++o) {
+      const std::uint32_t path = paths_.path(dest, o);
+      if (path == detail::LeafPaths::kNoPath) continue;
       const std::uint64_t packed = (dest << 32) | o;
-      for (const PortId pid : paths_[dest][o].links) {
+      for (const PortId pid : paths_.links(path)) {
         std::vector<std::uint64_t>& keys = link_paths_[pid];
         if (keys.empty() || keys.back() != packed) keys.push_back(packed);
       }
     }
+  }
 
-  // Per-stage load state from the cached paths, each shared by every source
-  // entering its leaf.
+  // Per-stage load state folded from the cached paths, then each violating
+  // stage's blame.
   const par::ForOptions stage_opts{.threads = 0, .grain = 4,
                                    .label = "check.recertify"};
+  std::vector<analysis::StageLoads> scratch(
+      par::region_width(num_stages, stage_opts));
   par::parallel_for(
       num_stages,
-      [&](std::size_t s, std::uint32_t) {
+      [&](std::size_t s, std::uint32_t worker) {
         StageState& st = stages_[s];
-        if (st.flows.empty()) return;
+        if (st.pairs.empty()) return;
+        analysis::StageLoads& loads = scratch[worker];
+        PortId hot = topo::kInvalidPort;
+        const StageWitness w = paths_.fold_stage(st.pairs, loads, hot);
+        st.unroutable = w.unroutable_flows;
+        st.links_loaded = w.links_loaded;
         st.loads.assign(fabric.num_ports(), 0);
-        for (const cps::Pair& flow : st.flows) {
-          if (flow.src == flow.dst) continue;
-          const LeafPath& path =
-              paths_[flow.dst][first_leaf_ordinal(flow.src, flow.dst)];
-          if (!path.routable) {
-            ++st.unroutable;
-            continue;
-          }
-          ++st.loads[injection_link(flow.src, flow.dst)];
-          for (const PortId pid : path.links) ++st.loads[pid];
-        }
-        for (PortId pid = 0; pid < st.loads.size(); ++pid) {
-          const std::uint32_t load = st.loads[pid];
-          if (load == 0) continue;
-          ++st.links_loaded;
+        for (const PortId pid : loads.touched()) {
+          const std::uint32_t load = loads.load(pid);
+          st.loads[pid] = load;
           hist_shift(st.hist[0], st.max_load[0], 0, load);
-          const std::uint8_t cls = port_class_[pid];
+          const std::uint8_t cls = hist_class(paths_.classes()[pid]);
           if (cls != 0) hist_shift(st.hist[cls], st.max_load[cls], 0, load);
-          if (load >= 2) st.hot_pids.push_back(pid);  // pid-ascending scan
+          if (load >= 2) st.hot_pids.push_back(pid);
         }
+        std::sort(st.hot_pids.begin(), st.hot_pids.end());
+        refresh_blame(s);
       },
       stage_opts);
 
@@ -159,37 +137,6 @@ IncrementalCertifier::IncrementalCertifier(const Fabric& fabric,
   lint_fabric(fabric, base_lints_);
   lint_ordering(fabric, ordering, base_lints_);
   lint_sequence(sequence, base_lints_);
-}
-
-std::uint32_t IncrementalCertifier::first_leaf_ordinal(std::uint64_t src,
-                                                       std::uint64_t dst) const {
-  const NodeId host = fabric_->host_node(src);
-  const topo::Node& n = fabric_->node(host);
-  const NodeId leaf = fabric_->neighbor(
-      host, n.num_down_ports + route::host_up_port(*fabric_, src, dst));
-  return fabric_->node(leaf).ordinal;
-}
-
-PortId IncrementalCertifier::injection_link(std::uint64_t src,
-                                            std::uint64_t dst) const {
-  const NodeId host = fabric_->host_node(src);
-  const topo::Node& n = fabric_->node(host);
-  return fabric_->port_id(
-      host, n.num_down_ports + route::host_up_port(*fabric_, src, dst));
-}
-
-IncrementalCertifier::LeafPath IncrementalCertifier::walk_leafpath(
-    std::uint64_t dest, NodeId leaf) const {
-  LeafPath path;
-  const route::RouteStatus status = route::walk_lft(
-      *fabric_, *tables_, leaf, dest, [&](const route::RouteHop& hop) {
-        path.links.push_back(hop.out);
-        return route::kKeepWalking;
-      });
-  path.routable = status == route::RouteStatus::kOk;
-  // A stranded path keeps its prefix for blame.
-  if (status != route::RouteStatus::kUnrouted) route::require_delivered(status);
-  return path;
 }
 
 void IncrementalCertifier::bump(StageState& st, PortId pid, int dir) {
@@ -201,7 +148,7 @@ void IncrementalCertifier::bump(StageState& st, PortId pid, int dir) {
   if (before == 0) ++st.links_loaded;
   if (after == 0) --st.links_loaded;
   hist_shift(st.hist[0], st.max_load[0], before, after);
-  const std::uint8_t cls = port_class_[pid];
+  const std::uint8_t cls = hist_class(paths_.classes()[pid]);
   if (cls != 0) hist_shift(st.hist[cls], st.max_load[cls], before, after);
   if (before < 2 && after >= 2) {
     const auto it = std::lower_bound(st.hot_pids.begin(), st.hot_pids.end(), pid);
@@ -212,9 +159,10 @@ void IncrementalCertifier::bump(StageState& st, PortId pid, int dir) {
   }
 }
 
-void IncrementalCertifier::apply_flow(StageState& st, const LeafPath& path,
+void IncrementalCertifier::apply_flow(StageState& st, bool routable,
+                                      std::span<const PortId> links,
                                       PortId inject, int dir) {
-  if (!path.routable) {
+  if (!routable) {
     expects(dir > 0 || st.unroutable > 0,
             "negative unroutable count in incremental recert");
     if (dir > 0)
@@ -224,20 +172,11 @@ void IncrementalCertifier::apply_flow(StageState& st, const LeafPath& path,
     return;
   }
   bump(st, inject, dir);
-  for (const PortId pid : path.links) bump(st, pid, dir);
-}
-
-bool IncrementalCertifier::flow_crosses(std::uint64_t src, std::uint64_t dst,
-                                        const LeafPath& path,
-                                        PortId link) const {
-  if (src == dst) return false;
-  if (injection_link(src, dst) == link) return true;
-  return std::find(path.links.begin(), path.links.end(), link) !=
-         path.links.end();
+  for (const PortId pid : links) bump(st, pid, dir);
 }
 
 PortId IncrementalCertifier::hottest(const StageState& st) const {
-  // The one-shot analyzer reports the lowest PortId attaining the maximum;
+  // The one-shot certifier reports the lowest PortId attaining the maximum;
   // every load >= 2 lives in hot_pids, which is pid-ascending.
   for (const PortId pid : st.hot_pids)
     if (st.loads[pid] == st.max_load[0]) return pid;
@@ -257,9 +196,10 @@ StageWitness IncrementalCertifier::witness(const StageState& st) const {
   return w;
 }
 
-void IncrementalCertifier::index_path_links(
-    std::uint64_t dest, std::uint32_t ordinal,
-    const std::vector<PortId>& links, bool add) {
+void IncrementalCertifier::index_path_links(std::uint64_t dest,
+                                            std::uint32_t ordinal,
+                                            std::span<const PortId> links,
+                                            bool add) {
   const std::uint64_t packed = (dest << 32) | ordinal;
   for (const PortId pid : links) {
     std::vector<std::uint64_t>& keys = link_paths_[pid];
@@ -274,24 +214,15 @@ void IncrementalCertifier::index_path_links(
   }
 }
 
-void IncrementalCertifier::collect_colliding(std::size_t stage, PortId hot,
-                                             StageBlame& blame) const {
+std::vector<CollidingFlow> IncrementalCertifier::collect_colliding(
+    std::size_t stage, PortId hot) const {
   // Injection links are host ports; a switch hot link can only be crossed
   // via a cached path, so the link index names every candidate directly.
   // A host hot link (a source sending twice in one stage) falls back to the
-  // certifier's all-flow rescan.
-  if (port_class_[hot] == 0) {
-    const StageState& st = stages_[stage];
-    for (const cps::Pair& flow : st.flows) {
-      if (blame.colliding.size() == kMaxCollidingShown) break;
-      if (flow.src == flow.dst) continue;
-      const LeafPath& path =
-          paths_[flow.dst][first_leaf_ordinal(flow.src, flow.dst)];
-      if (flow_crosses(flow.src, flow.dst, path, hot))
-        blame.colliding.push_back({flow.src, flow.dst});
-    }
-    return;
-  }
+  // certifier's stage-order scan.
+  if (paths_.classes()[hot] == analysis::LinkClass::kInjection)
+    return paths_.colliding(stages_[stage].pairs, witness(stages_[stage]),
+                            hot);
   struct Hit {
     std::uint32_t pair;
     std::uint64_t src;
@@ -305,30 +236,36 @@ void IncrementalCertifier::collect_colliding(std::size_t stage, PortId hot,
     const std::vector<std::uint32_t>& offsets = flow_offsets_[dest];
     for (std::uint32_t i = offsets[stage]; i < offsets[stage + 1]; ++i)
       if (refs[i].ordinal == ordinal)
-        hits.push_back({refs[i].pair, refs[i].src, dest});
+        hits.push_back({refs[i].pair, paths_.host(refs[i].src), dest});
   }
   // Stage-pair order, first kMaxCollidingShown — byte-identical to the
-  // one-shot certifier's in-order rescan.
+  // one-shot certifier's in-order scan.
   std::sort(hits.begin(), hits.end(),
             [](const Hit& a, const Hit& b) { return a.pair < b.pair; });
   if (hits.size() > kMaxCollidingShown) hits.resize(kMaxCollidingShown);
-  for (const Hit& hit : hits) blame.colliding.push_back({hit.src, hit.dst});
+  std::vector<CollidingFlow> colliding;
+  for (const Hit& hit : hits) colliding.push_back({hit.src, hit.dst});
+  return colliding;
+}
+
+void IncrementalCertifier::refresh_blame(std::size_t s) {
+  StageState& st = stages_[s];
+  st.blame = StageBlame{};
+  if (st.max_load[0] <= 1) return;
+  st.blame.stage = s;
+  st.blame.max_hsd = st.max_load[0];
+  st.blame.hot_link = hottest(st);
+  st.blame.hot_link_name = channel_to_string(*fabric_, st.blame.hot_link);
+  st.blame.colliding = collect_colliding(s, st.blame.hot_link);
 }
 
 std::vector<StageBlame> IncrementalCertifier::build_blames() const {
   std::vector<StageBlame> blames;
-  for (std::size_t s = 0; s < stages_.size(); ++s) {
-    const StageState& st = stages_[s];
-    if (st.max_load[0] <= 1) continue;
-    StageBlame blame;
-    blame.stage = s;
-    blame.max_hsd = st.max_load[0];
-    blame.hot_link = hottest(st);
-    blame.hot_link_name = channel_to_string(*fabric_, blame.hot_link);
-    collect_colliding(s, blame.hot_link, blame);
-    blames.push_back(std::move(blame));
-  }
+  for (const StageState& st : stages_)
+    if (st.max_load[0] > 1) blames.push_back(st.blame);
   if (!blames.empty()) {
+    // The tables may have changed since any blame was cached, so the rule
+    // that explains each collision is re-derived every time.
     Diagnostics lints = base_lints_;
     lint_tables(*fabric_, *tables_, /*degraded_expected=*/false, lints);
     for (StageBlame& blame : blames)
@@ -364,24 +301,30 @@ CertificateDelta IncrementalCertifier::update(const route::RepairDelta& delta) {
   // loads, and is skipped wholesale.
   struct FreshRow {
     std::uint64_t dest = 0;
-    std::vector<LeafPath> paths;
-    std::vector<std::uint8_t> changed;  ///< per ordinal
-    bool any_changed = false;
     bool fill_only = false;  ///< row fill: only row_ordinal can move
+    bool any_changed = false;
+    std::vector<detail::LeafPaths::Walk> walks;  ///< per ordinal
+    std::vector<PortId> links;                   ///< stride() per ordinal
+    std::vector<std::uint8_t> changed;           ///< per ordinal
+    [[nodiscard]] std::span<const PortId> path(std::uint32_t ordinal,
+                                               std::size_t stride) const {
+      return {links.data() + ordinal * stride, walks[ordinal].length};
+    }
   };
-  const auto path_differs = [](const LeafPath& a, const LeafPath& b) {
-    return a.routable != b.routable || a.links != b.links;
-  };
+  const std::size_t stride = paths_.stride();
   std::vector<FreshRow> fresh;
   {
     FTCF_PROF_SCOPE("check.recertify_repath");
     for (const std::uint64_t dest : delta.changed_dests)
-      if (!paths_[dest].empty())  // else: no flow targets this host
-        fresh.push_back({dest, {}, {}, false, false});
+      if (paths_.targeted(dest)) fresh.emplace_back().dest = dest;
     if (leaf_fill) {
-      for (const std::uint64_t dest : delta.row_filled_dests)
-        if (!paths_[dest].empty() && paths_[dest][row_ordinal].present)
-          fresh.push_back({dest, {}, {}, false, true});
+      for (const std::uint64_t dest : delta.row_filled_dests) {
+        if (paths_.path(dest, row_ordinal) == detail::LeafPaths::kNoPath)
+          continue;
+        FreshRow& fr = fresh.emplace_back();
+        fr.dest = dest;
+        fr.fill_only = true;
+      }
       std::sort(fresh.begin(), fresh.end(),
                 [](const FreshRow& a, const FreshRow& b) {
                   return a.dest < b.dest;
@@ -394,21 +337,26 @@ CertificateDelta IncrementalCertifier::update(const route::RepairDelta& delta) {
     par::parallel_for(
         fresh.size(),
         [&](std::size_t i, std::uint32_t) {
-          FreshRow& row = fresh[i];
-          row.paths = paths_[row.dest];
-          row.changed.assign(row.paths.size(), 0);
-          const std::uint64_t first = row.fill_only ? row_ordinal : 0;
-          const std::uint64_t last =
-              row.fill_only ? row_ordinal + 1 : row.paths.size();
-          for (std::uint64_t o = first; o < last; ++o) {
-            if (!row.paths[o].present) continue;
-            LeafPath path = walk_leafpath(row.dest, fabric_->switch_node(1, o));
-            path.present = true;
-            if (path_differs(path, row.paths[o])) {
-              row.changed[o] = 1;
-              row.any_changed = true;
+          FreshRow& fr = fresh[i];
+          const std::uint32_t num_leaves = paths_.num_leaves();
+          fr.walks.assign(num_leaves, {});
+          fr.links.assign(num_leaves * stride, topo::kInvalidPort);
+          fr.changed.assign(num_leaves, 0);
+          const std::uint32_t first = fr.fill_only ? row_ordinal : 0;
+          const std::uint32_t last =
+              fr.fill_only ? row_ordinal + 1 : num_leaves;
+          for (std::uint32_t o = first; o < last; ++o) {
+            const std::uint32_t path = paths_.path(fr.dest, o);
+            if (path == detail::LeafPaths::kNoPath) continue;
+            fr.walks[o] =
+                paths_.walk(fr.dest, o, fr.links.data() + o * stride);
+            const std::span<const PortId> old = paths_.links(path);
+            const std::span<const PortId> now = fr.path(o, stride);
+            if (fr.walks[o].routable != paths_.routable(path) ||
+                !std::equal(old.begin(), old.end(), now.begin(), now.end())) {
+              fr.changed[o] = 1;
+              fr.any_changed = true;
             }
-            row.paths[o] = std::move(path);
           }
         },
         repath_opts);
@@ -430,11 +378,11 @@ CertificateDelta IncrementalCertifier::update(const route::RepairDelta& delta) {
             "re-walked flow without a re-pathed cache row");
     return *it;
   };
-  for (const FreshRow& row : fresh) {
-    if (!row.any_changed) continue;
-    for (const FlowRef& ref : flows_by_dest_[row.dest])
-      if (row.changed[ref.ordinal])
-        touched[ref.stage].push_back({ref.src, ref.ordinal, row.dest});
+  for (const FreshRow& fr : fresh) {
+    if (!fr.any_changed) continue;
+    for (const FlowRef& ref : flows_by_dest_[fr.dest])
+      if (fr.changed[ref.ordinal])
+        touched[ref.stage].push_back({ref.src, ref.ordinal, fr.dest});
   }
 
   std::vector<std::size_t> dirty_stages;
@@ -456,9 +404,12 @@ CertificateDelta IncrementalCertifier::update(const route::RepairDelta& delta) {
         StageState& st = stages_[dirty_stages[i]];
         const StageWitness before = witness(st);
         for (const Touched& t : touched[dirty_stages[i]]) {
-          const PortId inject = injection_link(t.src, t.dst);
-          apply_flow(st, paths_[t.dst][t.ordinal], inject, -1);
-          apply_flow(st, lookup_fresh(t.dst).paths[t.ordinal], inject, +1);
+          const PortId inject = paths_.entry(t.src, t.dst).inject;
+          const std::uint32_t old = paths_.path(t.dst, t.ordinal);
+          apply_flow(st, paths_.routable(old), paths_.links(old), inject, -1);
+          const FreshRow& fr = lookup_fresh(t.dst);
+          apply_flow(st, fr.walks[t.ordinal].routable,
+                     fr.path(t.ordinal, stride), inject, +1);
         }
         const StageWitness after = witness(st);
         new_witness[i] = after;
@@ -479,15 +430,14 @@ CertificateDelta IncrementalCertifier::update(const route::RepairDelta& delta) {
       out.changed_witnesses.emplace_back(dirty_stages[i], new_witness[i]);
   }
 
-  for (FreshRow& row : fresh) {
-    for (std::uint64_t o = 0; o < row.changed.size(); ++o) {
-      if (!row.changed[o]) continue;
-      const auto ordinal = static_cast<std::uint32_t>(o);
-      index_path_links(row.dest, ordinal, paths_[row.dest][o].links,
-                       /*add=*/false);
-      index_path_links(row.dest, ordinal, row.paths[o].links, /*add=*/true);
+  for (const FreshRow& fr : fresh) {
+    for (std::uint32_t o = 0; o < fr.changed.size(); ++o) {
+      if (!fr.changed[o]) continue;
+      const std::uint32_t path = paths_.path(fr.dest, o);
+      index_path_links(fr.dest, o, paths_.links(path), /*add=*/false);
+      index_path_links(fr.dest, o, fr.path(o, stride), /*add=*/true);
+      paths_.store(path, fr.walks[o], fr.links.data() + o * stride);
     }
-    paths_[row.dest] = std::move(row.paths);
   }
 
   out.contention_free = true;
@@ -498,6 +448,12 @@ CertificateDelta IncrementalCertifier::update(const route::RepairDelta& delta) {
     }
   {
     FTCF_PROF_SCOPE("check.recertify_blames");
+    // Only a stage with a re-walked flow can change its violation; the
+    // rest keep their cached blame.
+    par::parallel_for(
+        dirty_stages.size(),
+        [&](std::size_t i, std::uint32_t) { refresh_blame(dirty_stages[i]); },
+        opts);
     out.blames = build_blames();
   }
   return out;

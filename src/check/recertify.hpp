@@ -1,14 +1,15 @@
 // Incremental re-certification under fabric churn.
 //
-// certify_contention_freedom re-walks every flow of every stage; under churn
-// only the flows whose destination column changed can load different links.
-// IncrementalCertifier keeps, per stage, the live per-link flow counts plus
-// load histograms (all/up/down link classes), and per (destination,
-// first-switch) the cached switch path every flow into that leaf shares. A
-// route::RepairDelta names exactly the dirtied columns; update() subtracts
-// the affected flows' old cached paths, re-walks them against the repaired
-// tables, and re-derives the per-stage witnesses from the histograms — so
-// the certificate() it maintains is field-identical (and its JSON
+// certify_contention_freedom walks every (destination, entry leaf) path once
+// and folds every stage's loads from them; under churn only the flows whose
+// destination column changed can load different links. IncrementalCertifier
+// keeps that same path cache (detail::LeafPaths) plus, per stage, the live
+// per-link flow counts, load histograms (all/up/down link classes) and the
+// stage's cached violation. A route::RepairDelta names exactly the dirtied
+// columns; update() subtracts the affected flows' old cached paths,
+// re-walks them against the repaired tables, re-derives the per-stage
+// witnesses from the histograms and re-blames only the stages it touched —
+// so the certificate() it maintains is field-identical (and its JSON
 // byte-identical) to a from-scratch certify over the same tables, at a
 // fraction of the cost. The exchange rate is measured by bench/churn_bench
 // and pinned by the differential oracle in tests/churn.
@@ -22,9 +23,11 @@
 #include <cstdint>
 #include <iosfwd>
 #include <map>
+#include <span>
 #include <vector>
 
 #include "check/certify.hpp"
+#include "check/leaf_paths.hpp"
 #include "routing/incremental.hpp"
 
 namespace ftcf::check {
@@ -75,23 +78,16 @@ class IncrementalCertifier {
   [[nodiscard]] Certificate certificate() const;
 
  private:
-  struct LeafPath {
-    bool present = false;   ///< some flow enters this (dest, leaf) pair
-    bool routable = false;  ///< the walk reached the destination host
-    /// Directed links from the leaf onward; on an unroutable walk this
-    /// holds the prefix up to the missing entry (blame evidence needs it).
-    std::vector<topo::PortId> links;
-  };
   struct FlowRef {
     std::uint32_t stage = 0;
-    std::uint32_t src = 0;
-    std::uint32_t ordinal = 0;  ///< first_leaf_ordinal(src, dest), cached
-    std::uint32_t pair = 0;     ///< index into the stage's mapped pair list
+    std::uint32_t src = 0;      ///< source rank
+    std::uint32_t ordinal = 0;  ///< entry leaf ordinal
+    std::uint32_t pair = 0;     ///< index into the stage's pair list
   };
   struct StageState {
     StageShape shape = StageShape::kEmpty;
     std::uint64_t num_flows = 0;          ///< static: src != dst pairs
-    std::vector<cps::Pair> flows;         ///< stage-pair order (colliding)
+    std::vector<cps::Pair> pairs;         ///< rank space, stage-pair order
     std::vector<std::uint32_t> loads;     ///< per PortId
     std::uint64_t unroutable = 0;
     std::uint64_t links_loaded = 0;
@@ -99,40 +95,34 @@ class IncrementalCertifier {
     std::vector<std::uint32_t> hist[3];
     std::uint32_t max_load[3] = {0, 0, 0};
     std::vector<topo::PortId> hot_pids;   ///< sorted; load >= 2
+    /// Cached violation (when max_load[0] > 1), without its blamed_rule:
+    /// it changes only when some flow of this stage changes path.
+    StageBlame blame;
   };
 
-  [[nodiscard]] std::uint32_t first_leaf_ordinal(std::uint64_t src,
-                                                 std::uint64_t dst) const;
-  [[nodiscard]] topo::PortId injection_link(std::uint64_t src,
-                                            std::uint64_t dst) const;
-  [[nodiscard]] LeafPath walk_leafpath(std::uint64_t dest,
-                                       topo::NodeId leaf) const;
   void bump(StageState& stage, topo::PortId pid, int dir);
-  void apply_flow(StageState& stage, const LeafPath& path, topo::PortId inject,
+  void apply_flow(StageState& stage, bool routable,
+                  std::span<const topo::PortId> links, topo::PortId inject,
                   int dir);
-  [[nodiscard]] bool flow_crosses(std::uint64_t src, std::uint64_t dst,
-                                  const LeafPath& path,
-                                  topo::PortId link) const;
   [[nodiscard]] topo::PortId hottest(const StageState& stage) const;
   [[nodiscard]] StageWitness witness(const StageState& stage) const;
+  void refresh_blame(std::size_t stage);
   [[nodiscard]] std::vector<StageBlame> build_blames() const;
   void index_path_links(std::uint64_t dest, std::uint32_t ordinal,
-                        const std::vector<topo::PortId>& links, bool add);
-  void collect_colliding(std::size_t stage, topo::PortId hot,
-                         StageBlame& blame) const;
+                        std::span<const topo::PortId> links, bool add);
+  [[nodiscard]] std::vector<CollidingFlow> collect_colliding(
+      std::size_t stage, topo::PortId hot) const;
 
   const topo::Fabric* fabric_;
   const route::ForwardingTables* tables_;
   std::uint64_t num_ranks_ = 0;
   std::string sequence_name_;
-  std::vector<std::uint8_t> port_class_;  ///< 0 host, 1 up, 2 down
+  detail::LeafPaths paths_;
   std::vector<StageState> stages_;
   std::vector<std::vector<FlowRef>> flows_by_dest_;
   /// flow_offsets_[dest][s] .. [s+1]: the flows_by_dest_[dest] slice of
   /// stage s (flows_by_dest_ is built stage-ascending, pair-ascending).
   std::vector<std::vector<std::uint32_t>> flow_offsets_;
-  /// paths_[dest][leaf-ordinal]: the shared switch path into `dest`.
-  std::vector<std::vector<LeafPath>> paths_;
   /// link_paths_[pid]: sorted packed (dest << 32 | leaf-ordinal) keys of the
   /// cached paths crossing that switch link — the blame inversion: colliding
   /// flows of a hot link resolve by lookup instead of an all-flow rescan.
