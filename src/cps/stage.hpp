@@ -21,6 +21,15 @@ struct Pair {
   friend auto operator<=>(const Pair&, const Pair&) = default;
 };
 
+/// (dst - src) mod n for n > 0. In-range pairs take a branch instead of the
+/// 64-bit modulo; out-of-range ones keep it, so the value is the same.
+[[nodiscard]] inline Rank displacement(const Pair& pair, Rank n) noexcept {
+  if (pair.src < n && pair.dst < n)
+    return pair.dst >= pair.src ? pair.dst - pair.src
+                                : pair.dst + n - pair.src;
+  return (pair.dst + n - pair.src) % n;
+}
+
 /// Role of a stage within its sequence, used by the data-content layer:
 /// kExchange stages combine (e.g. reduce) incoming data with local state;
 /// kFold stages fold non-power-of-two extras onto proxies (combine at dst);
