@@ -5,16 +5,6 @@
 
 namespace ftcf::analysis {
 
-util::IntHistogram load_histogram(const topo::Fabric& fabric,
-                                  const std::vector<std::uint32_t>& loads) {
-  util::IntHistogram hist;
-  for (topo::PortId pid = 0; pid < loads.size() && pid < fabric.num_ports();
-       ++pid) {
-    if (loads[pid] > 0) hist.add(loads[pid]);
-  }
-  return hist;
-}
-
 std::vector<LevelLoad> per_level_loads(
     const topo::Fabric& fabric, const std::vector<std::uint32_t>& loads) {
   // Bucket: (level boundary, direction). Boundary l covers links between

@@ -1,5 +1,5 @@
-// Link-load reporting helpers: histograms over the per-port flow counts and
-// per-level breakdowns, used by Fig. 1 style demonstrations and diagnostics.
+// Link-load reporting helpers: per-level breakdowns of the per-port flow
+// counts, used by Fig. 1 style demonstrations and diagnostics.
 #pragma once
 
 #include <string>
@@ -8,10 +8,6 @@
 #include "analysis/hsd.hpp"
 
 namespace ftcf::analysis {
-
-/// Histogram of flow counts over all *used* directed links.
-[[nodiscard]] util::IntHistogram load_histogram(
-    const topo::Fabric& fabric, const std::vector<std::uint32_t>& link_loads);
 
 struct LevelLoad {
   std::uint32_t level = 0;      ///< boundary: links between level and level+1

@@ -202,21 +202,6 @@ void detail::write_stage_row(std::ostream& os, const StageWitness& w,
      << ",\"unroutable\":" << w.unroutable_flows << '}';
 }
 
-void detail::write_blame_row(std::ostream& os, const StageBlame& blame) {
-  os << "{\"blame\":";
-  write_json_string(
-      os, blame.blamed_rule.empty() ? "unexplained" : blame.blamed_rule);
-  os << ",\"colliding\":[";
-  for (std::size_t i = 0; i < blame.colliding.size(); ++i) {
-    if (i != 0) os << ',';
-    os << "{\"dst\":" << blame.colliding[i].dst
-       << ",\"src\":" << blame.colliding[i].src << '}';
-  }
-  os << "],\"hot_link\":";
-  write_json_string(os, blame.hot_link_name);
-  os << ",\"max_hsd\":" << blame.max_hsd << ",\"stage\":" << blame.stage << '}';
-}
-
 void write_certificate_json(std::ostream& os, const Certificate& certificate,
                             const std::map<std::string, std::string>& meta) {
   os << "{\n \"meta\":{";
@@ -245,7 +230,19 @@ void write_certificate_json(std::ostream& os, const Certificate& certificate,
   for (const StageBlame& blame : certificate.blames) {
     os << (first ? "\n  " : ",\n  ");
     first = false;
-    detail::write_blame_row(os, blame);
+    os << "{\"blame\":";
+    write_json_string(
+        os, blame.blamed_rule.empty() ? "unexplained" : blame.blamed_rule);
+    os << ",\"colliding\":[";
+    for (std::size_t i = 0; i < blame.colliding.size(); ++i) {
+      if (i != 0) os << ',';
+      os << "{\"dst\":" << blame.colliding[i].dst
+         << ",\"src\":" << blame.colliding[i].src << '}';
+    }
+    os << "],\"hot_link\":";
+    write_json_string(os, blame.hot_link_name);
+    os << ",\"max_hsd\":" << blame.max_hsd << ",\"stage\":" << blame.stage
+       << '}';
   }
   os << (certificate.blames.empty() ? "]\n}\n" : "\n ]\n}\n");
 }

@@ -104,14 +104,10 @@ void write_certificate_json(
 
 namespace detail {
 
-/// One stage-witness JSON row (sorted keys, no surrounding whitespace) —
-/// shared by write_certificate_json and write_certificate_delta_json so the
-/// two documents stay byte-compatible per row.
+/// One stage-witness JSON row (sorted keys, no surrounding whitespace), as
+/// write_certificate_json emits it; symbolic_bench compares single rows.
 void write_stage_row(std::ostream& os, const StageWitness& witness,
                      std::size_t stage);
-
-/// One violation JSON row (sorted keys, no surrounding whitespace).
-void write_blame_row(std::ostream& os, const StageBlame& blame);
 
 /// Pick the highest-priority lint rule that explains a collision at `stage`
 /// (order-mismatch, stage cps-displacement, rlft-*, pgft-structure,

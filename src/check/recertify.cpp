@@ -1,7 +1,6 @@
 #include "check/recertify.hpp"
 
 #include <algorithm>
-#include <ostream>
 
 #include "check/depgraph.hpp"
 #include "obs/profile.hpp"
@@ -277,9 +276,6 @@ std::vector<StageBlame> IncrementalCertifier::build_blames() const {
 CertificateDelta IncrementalCertifier::update(const route::RepairDelta& delta) {
   FTCF_PROF_SCOPE("check.recertify_update");
   CertificateDelta out;
-  out.entries_changed = delta.entries_changed;
-  out.changed_dests = delta.changed_dests.size();
-  out.rows_filled = delta.row_filled_dests.size();
 
   // Row fills touch flow paths only when the revived switch is a leaf: the
   // filled destinations are fully pristine, and no surviving entry pointed
@@ -395,7 +391,6 @@ CertificateDelta IncrementalCertifier::update(const route::RepairDelta& delta) {
   // affected flow, add its re-walked path. Stages own disjoint state, so
   // this parallelizes; witness comparison happens in the same task.
   std::vector<std::uint8_t> witness_changed(dirty_stages.size(), 0);
-  std::vector<StageWitness> new_witness(dirty_stages.size());
   const par::ForOptions opts{.threads = 0, .grain = 8,
                              .label = "check.recertify"};
   par::parallel_for(
@@ -412,7 +407,6 @@ CertificateDelta IncrementalCertifier::update(const route::RepairDelta& delta) {
                      fr.path(t.ordinal, stride), inject, +1);
         }
         const StageWitness after = witness(st);
-        new_witness[i] = after;
         witness_changed[i] =
             after.max_hsd != before.max_hsd ||
             after.max_up_hsd != before.max_up_hsd ||
@@ -424,10 +418,7 @@ CertificateDelta IncrementalCertifier::update(const route::RepairDelta& delta) {
 
   for (std::size_t i = 0; i < dirty_stages.size(); ++i) {
     out.flows_rewalked += touched[dirty_stages[i]].size();
-    if (!witness_changed[i]) continue;
-    ++out.stages_changed;
-    if (out.changed_witnesses.size() < kMaxDeltaStagesShown)
-      out.changed_witnesses.emplace_back(dirty_stages[i], new_witness[i]);
+    if (witness_changed[i]) ++out.stages_changed;
   }
 
   for (const FreshRow& fr : fresh) {
@@ -454,7 +445,6 @@ CertificateDelta IncrementalCertifier::update(const route::RepairDelta& delta) {
         dirty_stages.size(),
         [&](std::size_t i, std::uint32_t) { refresh_blame(dirty_stages[i]); },
         opts);
-    out.blames = build_blames();
   }
   return out;
 }
@@ -471,45 +461,6 @@ Certificate IncrementalCertifier::certificate() const {
   }
   cert.blames = build_blames();
   return cert;
-}
-
-void write_certificate_delta_json(std::ostream& os,
-                                  const CertificateDelta& delta,
-                                  const std::map<std::string, std::string>& meta) {
-  os << "{\n \"meta\":{";
-  bool first = true;
-  for (const auto& [key, value] : meta) {
-    if (!first) os << ',';
-    first = false;
-    write_json_string(os, key);
-    os << ':';
-    write_json_string(os, value);
-  }
-  os << "},\n \"delta\":{\"applied\":" << (delta.applied ? "true" : "false")
-     << ",\"changed_dests\":" << delta.changed_dests
-     << ",\"contention_free\":" << (delta.contention_free ? "true" : "false")
-     << ",\"entries_changed\":" << delta.entries_changed
-     << ",\"flows_rewalked\":" << delta.flows_rewalked
-     << ",\"rows_filled\":" << delta.rows_filled
-     << ",\"stages_changed\":" << delta.stages_changed
-     << ",\"stages_shown\":" << delta.changed_witnesses.size()
-     << ",\"stages_touched\":" << delta.stages_touched
-     << ",\"violations\":" << delta.blames.size() << "},\n \"stages\":[";
-  first = true;
-  for (const auto& [stage, w] : delta.changed_witnesses) {
-    os << (first ? "\n  " : ",\n  ");
-    first = false;
-    detail::write_stage_row(os, w, stage);
-  }
-  os << (delta.changed_witnesses.empty() ? "]" : "\n ]")
-     << ",\n \"violations\":[";
-  first = true;
-  for (const StageBlame& blame : delta.blames) {
-    os << (first ? "\n  " : ",\n  ");
-    first = false;
-    detail::write_blame_row(os, blame);
-  }
-  os << (delta.blames.empty() ? "]\n}\n" : "\n ]\n}\n");
 }
 
 }  // namespace ftcf::check

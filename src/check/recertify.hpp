@@ -21,9 +21,8 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
-#include <map>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "check/certify.hpp"
@@ -34,27 +33,12 @@ namespace ftcf::check {
 
 /// What one re-certification pass did, plus the post-event verdict.
 struct CertificateDelta {
-  bool applied = false;            ///< some flow was re-walked
-  std::uint64_t entries_changed = 0;  ///< LFT slots changed (from routing)
-  std::uint64_t changed_dests = 0;    ///< recomputed destination columns
-  std::uint64_t rows_filled = 0;      ///< pristine row fills (switch repair)
+  bool applied = false;               ///< some flow was re-walked
   std::uint64_t flows_rewalked = 0;   ///< flow paths subtracted + re-added
   std::uint64_t stages_touched = 0;   ///< stages with >= 1 re-walked flow
   std::uint64_t stages_changed = 0;   ///< stages whose witness row changed
-  /// First kMaxDeltaStagesShown changed witnesses, stage-ascending.
-  std::vector<std::pair<std::size_t, StageWitness>> changed_witnesses;
-  bool contention_free = false;    ///< post-event verdict
-  std::vector<StageBlame> blames;  ///< post-event violations (all stages)
+  bool contention_free = false;       ///< post-event verdict
 };
-
-inline constexpr std::size_t kMaxDeltaStagesShown = 16;
-
-/// Deterministic delta document:
-/// {"meta":{...},"delta":{...},"stages":[...],"violations":[...]} — stage
-/// and violation rows use the same byte format as write_certificate_json.
-void write_certificate_delta_json(
-    std::ostream& os, const CertificateDelta& delta,
-    const std::map<std::string, std::string>& meta = {});
 
 /// Streaming certifier over live forwarding tables. Construction runs one
 /// full certification; each update() consumes a route::RepairDelta produced

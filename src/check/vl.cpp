@@ -13,14 +13,6 @@ namespace ftcf::check {
 using topo::Fabric;
 using topo::PortId;
 
-route::CdgVerdict VlCdgAnalysis::verdict() const noexcept {
-  route::CdgVerdict out;
-  out.acyclic = all_acyclic();
-  out.lanes = std::max<std::uint32_t>(num_lanes(), 1);
-  for (const CdgAnalysis& lane : lanes) out.down_up_turns += lane.down_up_turns;
-  return out;
-}
-
 VlCdgAnalysis analyze_cdg_per_vl(const Fabric& fabric,
                                  const route::ForwardingTables& tables,
                                  const VlAssignment& assignment) {

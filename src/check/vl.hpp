@@ -45,18 +45,11 @@ struct VlAssignment {
 struct VlCdgAnalysis {
   std::vector<CdgAnalysis> lanes;
 
-  [[nodiscard]] std::uint32_t num_lanes() const noexcept {
-    return static_cast<std::uint32_t>(lanes.size());
-  }
   [[nodiscard]] bool all_acyclic() const noexcept {
     for (const CdgAnalysis& lane : lanes)
       if (!lane.acyclic) return false;
     return true;
   }
-  /// The generalized Dally–Seitz verdict: acyclic iff every lane is, with
-  /// down->up turns summed across lanes (a walk's bad turn lands in the lane
-  /// of its destination, so the walk/CDG cross-check invariant carries over).
-  [[nodiscard]] route::CdgVerdict verdict() const noexcept;
 };
 
 /// Analyze one restricted dependency graph per lane of `assignment`.

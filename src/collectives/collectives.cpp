@@ -18,10 +18,6 @@ namespace {
 
 constexpr std::uint64_t kElementBytes = sizeof(Element);
 
-std::uint64_t pow2_floor(std::uint64_t n) {
-  return 1ULL << (63u - static_cast<std::uint32_t>(std::countl_zero(n)));
-}
-
 /// Collects the stages a collective actually executed.
 class TraceBuilder {
  public:
@@ -76,27 +72,6 @@ Result<Buffer> bcast_binomial(std::uint64_t ranks, const Buffer& root_data) {
 
 // --- reductions to a root ----------------------------------------------------
 
-Result<Buffer> reduce_binomial(ReduceOp op, const std::vector<Buffer>& inputs) {
-  const std::uint64_t ranks = inputs.size();
-  expects(ranks >= 2, "reduce needs at least 2 ranks");
-  const std::uint64_t count = common_count(inputs);
-  std::vector<Buffer> acc = inputs;
-
-  TraceBuilder trace("binomial-reverse", ranks);
-  // The Binomial CPS stages replayed backwards with reversed arrows:
-  // descending step, i+step sends its partial to i (i < step).
-  std::uint64_t top = pow2_floor(ranks - 1);
-  for (std::uint64_t step = top; step >= 1; step >>= 1) {
-    Stage stage;
-    for (Rank i = 0; i < step && i + step < ranks; ++i) {
-      reduce_into(op, acc[i], acc[i + step]);
-      stage.pairs.push_back({i + step, i});
-    }
-    trace.add(std::move(stage), count * kElementBytes);
-  }
-  return {std::move(acc), trace.take()};
-}
-
 Result<Buffer> reduce_tournament(ReduceOp op,
                                  const std::vector<Buffer>& inputs) {
   const std::uint64_t ranks = inputs.size();
@@ -116,96 +91,7 @@ Result<Buffer> reduce_tournament(ReduceOp op,
   return {std::move(acc), trace.take()};
 }
 
-// --- scatter / gather --------------------------------------------------------
-
-Result<Buffer> scatter_binomial(std::uint64_t ranks, const Buffer& root_data) {
-  expects(ranks >= 2, "scatter needs at least 2 ranks");
-  expects(root_data.size() % ranks == 0,
-          "scatter data must split evenly across ranks");
-  const std::uint64_t count = root_data.size() / ranks;
-
-  // Each rank holds the blocks for rank range [lo, hi).
-  struct Range {
-    std::uint64_t lo = 0, hi = 0;
-    Buffer data;
-  };
-  std::vector<Range> state(ranks);
-  state[0] = {0, ranks, root_data};
-
-  TraceBuilder trace("binomial", ranks);
-  // Descending-step halving: at step s the holders (ranks = 0 mod 2s) pass
-  // the upper half of their range to rank i+s. Constant displacement per
-  // stage, so still Binomial-CPS-shaped traffic.
-  for (std::uint64_t step = pow2_floor(ranks - 1); step >= 1; step >>= 1) {
-    Stage stage;
-    std::uint64_t stage_bytes = 0;
-    for (Rank i = 0; i + step < ranks; i += 2 * step) {
-      Range& src = state[i];
-      if (src.hi <= i + step) continue;  // nothing beyond the split point
-      Range& dst = state[i + step];
-      dst.lo = i + step;
-      dst.hi = src.hi;
-      dst.data.assign(src.data.begin() +
-                          static_cast<std::ptrdiff_t>((dst.lo - src.lo) * count),
-                      src.data.end());
-      src.data.resize((i + step - src.lo) * count);
-      src.hi = i + step;
-      stage.pairs.push_back({i, i + step});
-      stage_bytes = std::max<std::uint64_t>(stage_bytes,
-                                            dst.data.size() * kElementBytes);
-    }
-    trace.add(std::move(stage), stage_bytes);
-    if (step == 1) break;
-  }
-
-  std::vector<Buffer> outputs(ranks);
-  for (Rank i = 0; i < ranks; ++i) {
-    expects(state[i].lo == i && state[i].hi == i + 1,
-            "scatter must leave each rank exactly its own block");
-    outputs[i] = std::move(state[i].data);
-  }
-  return {std::move(outputs), trace.take()};
-}
-
-Result<Buffer> gather_binomial(const std::vector<Buffer>& inputs) {
-  const std::uint64_t ranks = inputs.size();
-  expects(ranks >= 2, "gather needs at least 2 ranks");
-  const std::uint64_t count = common_count(inputs);
-
-  struct Range {
-    std::uint64_t lo, hi;
-    Buffer data;
-  };
-  std::vector<Range> state(ranks);
-  for (Rank i = 0; i < ranks; ++i) state[i] = {i, i + 1, inputs[i]};
-
-  // MPI's "binomial gather" pairs are the paper's Tournament CPS: at step s
-  // the rank with bit s set sends its aggregated range to its parent.
-  TraceBuilder trace("tournament", ranks);
-  for (std::uint64_t step = 1; step < ranks; step <<= 1) {
-    Stage stage;
-    std::uint64_t stage_bytes = 0;
-    for (Rank i = 0; i + step < ranks; i += 2 * step) {
-      Range& src = state[i + step];
-      Range& dst = state[i];
-      expects(dst.hi == src.lo, "gather ranges must be adjacent");
-      dst.data.insert(dst.data.end(), src.data.begin(), src.data.end());
-      dst.hi = src.hi;
-      stage_bytes =
-          std::max<std::uint64_t>(stage_bytes, src.data.size() * kElementBytes);
-      src.data.clear();
-      stage.pairs.push_back({i + step, i});
-    }
-    trace.add(std::move(stage), stage_bytes);
-  }
-  expects(state[0].lo == 0 && state[0].hi == ranks &&
-              state[0].data.size() == ranks * count,
-          "gather must assemble every block at the root");
-
-  std::vector<Buffer> outputs(ranks);
-  outputs[0] = std::move(state[0].data);
-  return {std::move(outputs), trace.take()};
-}
+// --- gather ------------------------------------------------------------------
 
 Result<Buffer> gather_linear(const std::vector<Buffer>& inputs) {
   const std::uint64_t ranks = inputs.size();
@@ -451,26 +337,6 @@ Result<Buffer> alltoall_pairwise(const std::vector<Buffer>& inputs,
 
 // --- composite algorithms ------------------------------------------------------
 
-Result<Buffer> scatter_linear(std::uint64_t ranks, const Buffer& root_data) {
-  expects(ranks >= 2, "scatter needs at least 2 ranks");
-  expects(root_data.size() % ranks == 0,
-          "scatter data must split evenly across ranks");
-  const std::uint64_t count = root_data.size() / ranks;
-
-  std::vector<Buffer> outputs(ranks);
-  TraceBuilder trace("linear", ranks);
-  for (Rank i = 0; i < ranks; ++i) {
-    outputs[i].assign(
-        root_data.begin() + static_cast<std::ptrdiff_t>(i * count),
-        root_data.begin() + static_cast<std::ptrdiff_t>((i + 1) * count));
-    if (i == 0) continue;  // root keeps its block locally
-    Stage stage;
-    stage.pairs.push_back({0, i});
-    trace.add(std::move(stage), count * kElementBytes);
-  }
-  return {std::move(outputs), trace.take()};
-}
-
 Result<Buffer> allgather_recursive_doubling(
     const std::vector<Buffer>& inputs) {
   const std::uint64_t ranks = inputs.size();
@@ -547,105 +413,6 @@ Result<Buffer> allreduce_rabenseifner(ReduceOp op,
     trace.bytes_per_pair.push_back(gathered.trace.bytes_per_pair[s]);
   }
   return {std::move(gathered.outputs), std::move(trace)};
-}
-
-Result<Buffer> bcast_scatter_ring(std::uint64_t ranks,
-                                  const Buffer& root_data) {
-  expects(ranks >= 2, "bcast needs at least 2 ranks");
-  expects(root_data.size() % ranks == 0,
-          "scatter+allgather bcast needs the payload to split evenly");
-
-  auto scattered = scatter_binomial(ranks, root_data);
-  auto gathered = allgather_ring(scattered.outputs);
-
-  Trace trace = std::move(scattered.trace);
-  trace.sequence.name = "binomial scatter + ring allgather";
-  for (std::size_t s = 0; s < gathered.trace.sequence.stages.size(); ++s) {
-    trace.sequence.stages.push_back(
-        std::move(gathered.trace.sequence.stages[s]));
-    trace.bytes_per_pair.push_back(gathered.trace.bytes_per_pair[s]);
-  }
-  return {std::move(gathered.outputs), std::move(trace)};
-}
-
-// --- variable-count collectives ------------------------------------------------
-
-Result<Buffer> allgatherv_ring(const std::vector<Buffer>& inputs) {
-  const std::uint64_t ranks = inputs.size();
-  expects(ranks >= 2, "allgatherv needs at least 2 ranks");
-
-  // blocks[i][j]: rank i's copy of rank j's (variable-size) block.
-  std::vector<std::vector<Buffer>> blocks(ranks, std::vector<Buffer>(ranks));
-  std::vector<bool> present_template(ranks, false);
-  std::vector<std::vector<bool>> present(ranks, present_template);
-  for (Rank i = 0; i < ranks; ++i) {
-    blocks[i][i] = inputs[i];
-    present[i][i] = true;  // empty contributions still count as present
-  }
-
-  TraceBuilder trace("ring", ranks);
-  for (std::uint64_t t = 0; t < ranks - 1; ++t) {
-    Stage stage;
-    stage.pairs.reserve(ranks);
-    std::uint64_t stage_bytes = 0;
-    for (Rank i = 0; i < ranks; ++i) {
-      const Rank block = (i + ranks - t % ranks) % ranks;
-      const Rank dst = (i + 1) % ranks;
-      expects(present[i][block], "ring forwards a block it holds");
-      blocks[dst][block] = blocks[i][block];
-      present[dst][block] = true;
-      stage.pairs.push_back({i, dst});
-      stage_bytes = std::max<std::uint64_t>(
-          stage_bytes, blocks[i][block].size() * kElementBytes);
-    }
-    trace.add(std::move(stage), stage_bytes);
-  }
-
-  std::vector<Buffer> outputs(ranks);
-  for (Rank i = 0; i < ranks; ++i) {
-    for (Rank j = 0; j < ranks; ++j) {
-      expects(present[i][j], "allgatherv missing a block");
-      outputs[i].insert(outputs[i].end(), blocks[i][j].begin(),
-                        blocks[i][j].end());
-    }
-  }
-  return {std::move(outputs), trace.take()};
-}
-
-Result<Buffer> gatherv_linear(const std::vector<Buffer>& inputs) {
-  const std::uint64_t ranks = inputs.size();
-  expects(ranks >= 2, "gatherv needs at least 2 ranks");
-
-  std::vector<Buffer> outputs(ranks);
-  Buffer& root = outputs[0];
-  root = inputs[0];
-  TraceBuilder trace("linear-reverse", ranks);
-  for (Rank i = 1; i < ranks; ++i) {
-    root.insert(root.end(), inputs[i].begin(), inputs[i].end());
-    Stage stage;
-    stage.pairs.push_back({i, 0});
-    trace.add(std::move(stage), inputs[i].size() * kElementBytes);
-  }
-  return {std::move(outputs), trace.take()};
-}
-
-// --- barrier -----------------------------------------------------------------
-
-Result<std::uint64_t> barrier_dissemination(std::uint64_t ranks) {
-  expects(ranks >= 2, "barrier needs at least 2 ranks");
-  std::vector<std::uint64_t> rounds(ranks, 0);
-
-  TraceBuilder trace("dissemination", ranks);
-  for (std::uint64_t step = 1; step < ranks; step <<= 1) {
-    Stage stage;
-    stage.pairs.reserve(ranks);
-    for (Rank i = 0; i < ranks; ++i) {
-      stage.pairs.push_back({i, (i + step) % ranks});
-      ++rounds[(i + step) % ranks];
-    }
-    trace.add(std::move(stage), 0);  // zero-byte notification
-  }
-  return {std::move(rounds), trace.take()};
 }
 
 }  // namespace ftcf::coll

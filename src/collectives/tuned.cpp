@@ -6,76 +6,26 @@
 
 namespace ftcf::coll {
 
-namespace {
-constexpr std::uint64_t kElementBytes = sizeof(Element);
-}
-
-TunedCollectives::TunedCollectives(std::uint64_t ranks, TunedConfig config)
-    : ranks_(ranks), config_(config) {
+TunedCollectives::TunedCollectives(std::uint64_t ranks) : ranks_(ranks) {
   util::expects(ranks >= 2, "tuned collectives need at least 2 ranks");
-}
-
-bool TunedCollectives::pow2() const noexcept {
-  return std::has_single_bit(ranks_);
 }
 
 TunedResult<Buffer> TunedCollectives::allreduce(
     ReduceOp op, const std::vector<Buffer>& inputs) const {
   util::expects(inputs.size() == ranks_, "rank count mismatch");
-  const std::uint64_t bytes = inputs.front().size() * kElementBytes;
-  if (!small(bytes) && pow2() && inputs.front().size() % ranks_ == 0) {
+  const std::uint64_t bytes = inputs.front().size() * sizeof(Element);
+  if (bytes >= kSmallMessageBytes && std::has_single_bit(ranks_) &&
+      inputs.front().size() % ranks_ == 0) {
     return {"rabenseifner (reduce-scatter + allgather)",
             allreduce_rabenseifner(op, inputs)};
   }
   return {"recursive doubling", allreduce_recursive_doubling(op, inputs)};
 }
 
-TunedResult<Buffer> TunedCollectives::allgather(
-    const std::vector<Buffer>& inputs) const {
-  util::expects(inputs.size() == ranks_, "rank count mismatch");
-  const std::uint64_t bytes = inputs.front().size() * kElementBytes;
-  if (!small(bytes)) return {"ring", allgather_ring(inputs)};
-  if (pow2())
-    return {"recursive doubling", allgather_recursive_doubling(inputs)};
-  return {"bruck (dissemination)", allgather_bruck(inputs)};
-}
-
-TunedResult<Buffer> TunedCollectives::bcast(const Buffer& root_data) const {
-  const std::uint64_t bytes = root_data.size() * kElementBytes;
-  if (!small(bytes) && root_data.size() % ranks_ == 0)
-    return {"binomial scatter + ring allgather",
-            bcast_scatter_ring(ranks_, root_data)};
-  return {"binomial tree", bcast_binomial(ranks_, root_data)};
-}
-
-TunedResult<Buffer> TunedCollectives::reduce(
-    ReduceOp op, const std::vector<Buffer>& inputs) const {
-  util::expects(inputs.size() == ranks_, "rank count mismatch");
-  return {"binomial tree (reversed)", reduce_binomial(op, inputs)};
-}
-
-TunedResult<Buffer> TunedCollectives::gather(
-    const std::vector<Buffer>& inputs) const {
-  util::expects(inputs.size() == ranks_, "rank count mismatch");
-  const std::uint64_t bytes = inputs.front().size() * kElementBytes;
-  if (small(bytes)) return {"binomial tree", gather_binomial(inputs)};
-  return {"linear", gather_linear(inputs)};
-}
-
-TunedResult<Buffer> TunedCollectives::scatter(const Buffer& root_data) const {
-  const std::uint64_t bytes = root_data.size() / ranks_ * kElementBytes;
-  if (small(bytes)) return {"binomial tree", scatter_binomial(ranks_, root_data)};
-  return {"linear", scatter_linear(ranks_, root_data)};
-}
-
 TunedResult<Buffer> TunedCollectives::alltoall(
     const std::vector<Buffer>& inputs, std::uint64_t count) const {
   util::expects(inputs.size() == ranks_, "rank count mismatch");
   return {"pairwise exchange (shift)", alltoall_pairwise(inputs, count)};
-}
-
-TunedResult<std::uint64_t> TunedCollectives::barrier() const {
-  return {"dissemination", barrier_dissemination(ranks_)};
 }
 
 }  // namespace ftcf::coll

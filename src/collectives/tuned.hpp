@@ -7,16 +7,11 @@
 // result, and reports which algorithm ran plus its traffic trace, so the
 // choice can be audited for congestion on a concrete fabric.
 //
-// Selection policy (mirroring the cited implementations):
-//   * small messages (< small_threshold bytes per rank):
-//       allreduce -> recursive doubling; allgather -> bruck (recursive
-//       doubling when P is a power of two); bcast/gather/scatter/reduce ->
-//       binomial trees; barrier -> dissemination
-//   * large messages:
-//       allreduce -> Rabenseifner (power-of-two P) else recursive doubling;
-//       allgather -> ring; bcast -> binomial scatter + ring allgather
-//       (when the payload splits evenly) else binomial;
-//       gather/scatter -> linear; alltoall -> pairwise exchange always
+// Selection policy (after the cited implementations):
+//   * allreduce: Rabenseifner for large messages (>= kSmallMessageBytes per
+//     rank) on power-of-two P when the payload splits into rank blocks,
+//     recursive doubling otherwise;
+//   * alltoall: pairwise exchange always.
 #pragma once
 
 #include <string>
@@ -25,9 +20,8 @@
 
 namespace ftcf::coll {
 
-struct TunedConfig {
-  std::uint64_t small_threshold_bytes = 8192;  ///< MVAPICH-style switch point
-};
+/// MVAPICH-style small/large switch point, in bytes per rank.
+inline constexpr std::uint64_t kSmallMessageBytes = 8192;
 
 template <typename Out>
 struct TunedResult {
@@ -37,32 +31,17 @@ struct TunedResult {
 
 class TunedCollectives {
  public:
-  explicit TunedCollectives(std::uint64_t ranks, TunedConfig config = {});
+  explicit TunedCollectives(std::uint64_t ranks);
 
   [[nodiscard]] std::uint64_t ranks() const noexcept { return ranks_; }
 
   [[nodiscard]] TunedResult<Buffer> allreduce(
       ReduceOp op, const std::vector<Buffer>& inputs) const;
-  [[nodiscard]] TunedResult<Buffer> allgather(
-      const std::vector<Buffer>& inputs) const;
-  [[nodiscard]] TunedResult<Buffer> bcast(const Buffer& root_data) const;
-  [[nodiscard]] TunedResult<Buffer> reduce(
-      ReduceOp op, const std::vector<Buffer>& inputs) const;
-  [[nodiscard]] TunedResult<Buffer> gather(
-      const std::vector<Buffer>& inputs) const;
-  [[nodiscard]] TunedResult<Buffer> scatter(const Buffer& root_data) const;
   [[nodiscard]] TunedResult<Buffer> alltoall(
       const std::vector<Buffer>& inputs, std::uint64_t count) const;
-  [[nodiscard]] TunedResult<std::uint64_t> barrier() const;
 
  private:
-  [[nodiscard]] bool small(std::uint64_t bytes_per_rank) const noexcept {
-    return bytes_per_rank < config_.small_threshold_bytes;
-  }
-  [[nodiscard]] bool pow2() const noexcept;
-
   std::uint64_t ranks_;
-  TunedConfig config_;
 };
 
 }  // namespace ftcf::coll

@@ -143,9 +143,4 @@ cps::Sequence grouped_recursive_halving(const Fabric& fabric) {
   return reversed(grouped_recursive_doubling(fabric));
 }
 
-cps::Sequence grouped_recursive_halving(
-    const Fabric& fabric, std::span<const std::uint64_t> participants) {
-  return reversed(grouped_recursive_doubling(fabric, participants));
-}
-
 }  // namespace ftcf::core

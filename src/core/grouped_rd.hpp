@@ -50,9 +50,4 @@ namespace ftcf::core {
 [[nodiscard]] cps::Sequence grouped_recursive_halving(
     const topo::Fabric& fabric);
 
-/// Grouped recursive halving over a participant subset (ranks as in the
-/// grouped_recursive_doubling overload).
-[[nodiscard]] cps::Sequence grouped_recursive_halving(
-    const topo::Fabric& fabric, std::span<const std::uint64_t> participants);
-
 }  // namespace ftcf::core

@@ -15,8 +15,6 @@
 //   auto audit = plan.audit(seq);          // audit.congestion_free == true
 #pragma once
 
-#include <optional>
-
 #include "analysis/hsd.hpp"
 #include "core/grouped_rd.hpp"
 #include "cps/generators.hpp"
@@ -30,10 +28,6 @@ class CollectivePlan {
   /// Plan for a whole-fabric job. Warns (via the returned flags, not I/O)
   /// when the fabric is not an RLFT, where the guarantees are proven.
   explicit CollectivePlan(const topo::Fabric& fabric);
-
-  /// Plan for a partial job over the given hosts (ascending host indices).
-  CollectivePlan(const topo::Fabric& fabric,
-                 std::vector<std::uint64_t> participants);
 
   [[nodiscard]] const topo::Fabric& fabric() const noexcept { return *fabric_; }
   [[nodiscard]] const route::ForwardingTables& tables() const noexcept {
@@ -68,7 +62,6 @@ class CollectivePlan {
   const topo::Fabric* fabric_;
   route::ForwardingTables tables_;
   order::NodeOrdering ordering_;
-  std::optional<std::vector<std::uint64_t>> participants_;
 };
 
 }  // namespace ftcf::core

@@ -1,7 +1,6 @@
 #include "core/report.hpp"
 
 #include <ostream>
-#include <sstream>
 
 #include "analysis/hsd.hpp"
 #include "core/plan.hpp"
@@ -54,13 +53,6 @@ void write_fabric_report(const topo::Fabric& fabric, std::ostream& os,
     }
     table.print(os);
   }
-}
-
-std::string fabric_report(const topo::Fabric& fabric,
-                          const ReportOptions& options) {
-  std::ostringstream oss;
-  write_fabric_report(fabric, oss, options);
-  return oss.str();
 }
 
 }  // namespace ftcf::core

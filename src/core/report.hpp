@@ -3,8 +3,8 @@
 // "show me everything about this cluster" entry point used by ftcf_tool.
 #pragma once
 
+#include <cstdint>
 #include <iosfwd>
-#include <string>
 
 #include "routing/lft.hpp"
 #include "topology/fabric.hpp"
@@ -21,8 +21,5 @@ struct ReportOptions {
 /// Render the full report for a fabric under D-Mod-K + topology ordering.
 void write_fabric_report(const topo::Fabric& fabric, std::ostream& os,
                          const ReportOptions& options = {});
-
-[[nodiscard]] std::string fabric_report(const topo::Fabric& fabric,
-                                        const ReportOptions& options = {});
 
 }  // namespace ftcf::core

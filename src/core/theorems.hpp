@@ -3,13 +3,15 @@
 // The appendix proves Theorems 1-2 for complete RLFTs; Theorem 3 covers the
 // grouped bidirectional traffic of §VI. These checkers *measure* the claimed
 // properties on an instantiated fabric, so tests (and users with bespoke
-// topologies) can confirm the guarantees rather than trust them.
+// topologies) can confirm the guarantees rather than trust them. Each one is
+// a view of check::certify_contention_freedom over D-Mod-K tables, the
+// topology order and the theorem's sequence.
 #pragma once
 
+#include <cstdint>
 #include <string>
 
-#include "analysis/hsd.hpp"
-#include "routing/router.hpp"
+#include "topology/fabric.hpp"
 
 namespace ftcf::core {
 

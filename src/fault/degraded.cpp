@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <charconv>
-#include <sstream>
 
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -200,16 +199,6 @@ std::vector<std::uint64_t> FaultState::surviving_hosts() const {
   for (std::uint64_t j = 0; j < fabric_->num_hosts(); ++j)
     if (host_up(j)) out.push_back(j);
   return out;
-}
-
-std::string FaultState::summary() const {
-  std::ostringstream oss;
-  oss << cables_down_ << " cable(s) down, " << switches_down_
-      << " switch(es) down, " << cables_degraded_ << " cable(s) degraded, "
-      << flaps_.size() << " scripted flap(s); "
-      << surviving_hosts().size() << '/' << fabric_->num_hosts()
-      << " hosts up";
-  return oss.str();
 }
 
 }  // namespace ftcf::fault

@@ -125,8 +125,6 @@ class FaultState {
   /// Hosts with host_up() true, in ascending order.
   [[nodiscard]] std::vector<std::uint64_t> surviving_hosts() const;
 
-  [[nodiscard]] std::string summary() const;
-
   /// Resolve a node name/alias ("S2_005", "H0013", "leaf0", "spine4",
   /// "L2_S1") to a NodeId; throws util::SpecError on unknown names.
   [[nodiscard]] static topo::NodeId resolve_node(const topo::Fabric& fabric,

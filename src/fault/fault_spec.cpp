@@ -187,20 +187,6 @@ Fault parse_one(const std::string& token) {
 
 }  // namespace
 
-const char* fault_kind_name(FaultKind kind) noexcept {
-  switch (kind) {
-    case FaultKind::kLinkDown: return "link-down";
-    case FaultKind::kSwitchDown: return "switch-down";
-    case FaultKind::kDegradedRate: return "degraded-rate";
-    case FaultKind::kLinkFlap: return "link-flap";
-    case FaultKind::kRandomLinks: return "random-links";
-    case FaultKind::kRepairLink: return "repair-link";
-    case FaultKind::kRepairSwitch: return "repair-switch";
-    case FaultKind::kMtbf: return "mtbf-schedule";
-  }
-  return "?";
-}
-
 std::string Fault::to_string() const {
   std::ostringstream oss;
   switch (kind) {

@@ -48,8 +48,6 @@ enum class FaultKind : std::uint8_t {
   kMtbf,
 };
 
-[[nodiscard]] const char* fault_kind_name(FaultKind kind) noexcept;
-
 /// One fault, still in name space (unresolved against a Fabric).
 struct Fault {
   FaultKind kind = FaultKind::kLinkDown;

@@ -98,11 +98,6 @@ void ContentionHeatmap::ingest(const TraceRecorder& recorder) {
   ingest(std::span<const TraceEvent>(recorder.events()));
 }
 
-void ContentionHeatmap::ingest(const ShardedTraceRecorder& recorder) {
-  for (std::size_t i = 0; i < recorder.num_shards(); ++i)
-    ingest(recorder.shard(i));
-}
-
 std::uint64_t ContentionHeatmap::stage_window_ns(std::uint16_t stage) const {
   const auto it = windows_.find(stage);
   if (it != windows_.end() && it->second.has_begin && it->second.has_end &&

@@ -57,7 +57,6 @@ class ContentionHeatmap {
   /// accumulate); stage windows extend over all ingested streams.
   void ingest(std::span<const TraceEvent> events);
   void ingest(const TraceRecorder& recorder);
-  void ingest(const ShardedTraceRecorder& recorder);
 
   [[nodiscard]] const std::map<HeatmapKey, HeatmapCell>& cells()
       const noexcept {

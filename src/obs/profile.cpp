@@ -106,11 +106,6 @@ void enable_par_timing(MetricsRegistry* registry) {
   par::set_timing_sink(&par_timing_sink);
 }
 
-void disable_par_timing() noexcept {
-  par::set_timing_sink(nullptr);
-  g_par_registry = nullptr;
-}
-
 void Profiler::report(std::ostream& os) const {
   const std::vector<Entry> rows = entries();
   util::Table table({"scope", "calls", "total", "mean", "max"});

@@ -95,9 +95,6 @@ class MetricsRegistry;  // metrics.hpp
 /// byte-stable across runs.
 void enable_par_timing(MetricsRegistry* registry = nullptr);
 
-/// Uninstall the sink (the registry pointer is dropped too).
-void disable_par_timing() noexcept;
-
 }  // namespace ftcf::obs
 
 #define FTCF_PROF_CONCAT_INNER(a, b) a##b

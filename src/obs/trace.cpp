@@ -127,12 +127,6 @@ std::size_t ShardedTraceRecorder::total_size() const noexcept {
   return n;
 }
 
-std::uint64_t ShardedTraceRecorder::total_dropped() const noexcept {
-  std::uint64_t n = 0;
-  for (const TraceRecorder& s : shards_) n += s.dropped();
-  return n;
-}
-
 std::vector<TraceEvent> ShardedTraceRecorder::merged() const {
   struct Tagged {
     std::uint32_t shard;
@@ -159,10 +153,6 @@ std::vector<TraceEvent> ShardedTraceRecorder::merged() const {
   for (const Tagged& t : order)
     out.push_back(shards_[t.shard].events()[t.pos]);
   return out;
-}
-
-void ShardedTraceRecorder::clear() noexcept {
-  for (TraceRecorder& s : shards_) s.clear();
 }
 
 void write_chrome_trace(std::span<const TraceEvent> events,
@@ -305,13 +295,6 @@ void write_chrome_trace(const TraceRecorder& recorder, std::ostream& os,
                      recorder.dropped(), os, naming);
 }
 
-void write_chrome_trace(const ShardedTraceRecorder& recorder, std::ostream& os,
-                        const TraceNaming& naming) {
-  const std::vector<TraceEvent> merged = recorder.merged();
-  write_chrome_trace(std::span<const TraceEvent>(merged),
-                     recorder.total_dropped(), os, naming);
-}
-
 void write_trace_csv(std::span<const TraceEvent> events, std::ostream& os) {
   os << "ts_ns,kind,a,b,c,dur_ns,vl,stage\n";
   for (const TraceEvent& ev : events) {
@@ -329,11 +312,6 @@ void write_trace_csv(std::span<const TraceEvent> events, std::ostream& os) {
 
 void write_trace_csv(const TraceRecorder& recorder, std::ostream& os) {
   write_trace_csv(std::span<const TraceEvent>(recorder.events()), os);
-}
-
-void write_trace_csv(const ShardedTraceRecorder& recorder, std::ostream& os) {
-  const std::vector<TraceEvent> merged = recorder.merged();
-  write_trace_csv(std::span<const TraceEvent>(merged), os);
 }
 
 }  // namespace ftcf::obs

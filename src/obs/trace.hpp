@@ -110,12 +110,6 @@ class TraceRecorder {
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
   [[nodiscard]] std::uint64_t dropped() const noexcept { return dropped_; }
 
-  /// Forget all events (capacity is kept); for per-run reuse.
-  void clear() noexcept {
-    events_.clear();
-    dropped_ = 0;
-  }
-
  private:
   std::size_t capacity_;
   std::uint64_t dropped_ = 0;
@@ -134,22 +128,13 @@ class ShardedTraceRecorder {
       std::size_t capacity_per_shard = TraceRecorder::kDefaultCapacity);
 
   [[nodiscard]] TraceRecorder& shard(std::size_t i) { return shards_[i]; }
-  [[nodiscard]] const TraceRecorder& shard(std::size_t i) const {
-    return shards_[i];
-  }
-  [[nodiscard]] std::size_t num_shards() const noexcept {
-    return shards_.size();
-  }
   [[nodiscard]] std::size_t total_size() const noexcept;
-  [[nodiscard]] std::uint64_t total_dropped() const noexcept;
 
   /// All shards' events merged deterministically: sorted by (timestamp,
   /// shard index, intra-shard sequence). Within one shard the recording
   /// order is preserved; across shards ties at one timestamp resolve by
   /// shard index. The result is byte-identical for any worker-thread count.
   [[nodiscard]] std::vector<TraceEvent> merged() const;
-
-  void clear() noexcept;
 
  private:
   std::vector<TraceRecorder> shards_;
@@ -178,13 +163,10 @@ void write_chrome_trace(std::span<const TraceEvent> events,
                         const TraceNaming& naming = {});
 void write_chrome_trace(const TraceRecorder& recorder, std::ostream& os,
                         const TraceNaming& naming = {});
-void write_chrome_trace(const ShardedTraceRecorder& recorder, std::ostream& os,
-                        const TraceNaming& naming = {});
 
 /// Write "ts_ns,kind,a,b,c,dur_ns,vl,stage" CSV (header line first; stage
 /// prints as -1 for kNoStage).
 void write_trace_csv(std::span<const TraceEvent> events, std::ostream& os);
 void write_trace_csv(const TraceRecorder& recorder, std::ostream& os);
-void write_trace_csv(const ShardedTraceRecorder& recorder, std::ostream& os);
 
 }  // namespace ftcf::obs

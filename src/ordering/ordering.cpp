@@ -15,26 +15,17 @@ NodeOrdering::NodeOrdering(std::vector<std::uint64_t> rank_to_host,
     : rank_to_host_(std::move(rank_to_host)),
       num_fabric_hosts_(num_fabric_hosts) {
   expects(!rank_to_host_.empty(), "ordering must place at least one rank");
-  host_to_rank_.assign(num_fabric_hosts_, kNoRank);
-  for (std::uint64_t r = 0; r < rank_to_host_.size(); ++r) {
-    const std::uint64_t host = rank_to_host_[r];
+  std::vector<bool> placed(num_fabric_hosts_, false);
+  for (const std::uint64_t host : rank_to_host_) {
     expects(host < num_fabric_hosts_, "ordering places rank on unknown host");
-    expects(host_to_rank_[host] == kNoRank,
-            "ordering places two ranks on one host");
-    host_to_rank_[host] = r;
+    expects(!placed[host], "ordering places two ranks on one host");
+    placed[host] = true;
   }
 }
 
 std::uint64_t NodeOrdering::host_of(std::uint64_t rank) const {
   expects(rank < rank_to_host_.size(), "rank out of range");
   return rank_to_host_[rank];
-}
-
-std::optional<std::uint64_t> NodeOrdering::rank_of(std::uint64_t host) const {
-  expects(host < num_fabric_hosts_, "host out of range");
-  const std::uint64_t r = host_to_rank_[host];
-  if (r == kNoRank) return std::nullopt;
-  return r;
 }
 
 NodeOrdering NodeOrdering::topology(const topo::Fabric& fabric) {

@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -32,7 +31,6 @@ class NodeOrdering {
     return num_fabric_hosts_;
   }
   [[nodiscard]] std::uint64_t host_of(std::uint64_t rank) const;
-  [[nodiscard]] std::optional<std::uint64_t> rank_of(std::uint64_t host) const;
   [[nodiscard]] std::span<const std::uint64_t> hosts() const noexcept {
     return rank_to_host_;
   }
@@ -89,10 +87,7 @@ class NodeOrdering {
 
  private:
   std::vector<std::uint64_t> rank_to_host_;
-  std::vector<std::uint64_t> host_to_rank_;  ///< npos when not participating
   std::uint64_t num_fabric_hosts_;
-
-  static constexpr std::uint64_t kNoRank = static_cast<std::uint64_t>(-1);
 };
 
 /// Number of distinct §V sub-allocations of a fabric: N / prod(w_i).

@@ -4,7 +4,6 @@
 
 #include "obs/profile.hpp"
 #include "routing/dmodk.hpp"
-#include "util/expects.hpp"
 
 namespace ftcf::route {
 
@@ -14,7 +13,6 @@ using topo::Fabric;
 using topo::NodeId;
 using topo::PgftSpec;
 using topo::PortId;
-using util::expects;
 
 std::uint32_t pristine_dmodk_port(const Fabric& fabric, NodeId sw,
                                   std::uint64_t dest) {
@@ -170,12 +168,6 @@ ForwardingTables compute_degraded_dmodk(const FaultState& state,
                                         DegradedStats* stats) {
   FTCF_PROF_SCOPE("dmodk_degraded_build");
   return compute_degraded_dmodk(state.fabric(), state.health(), stats);
-}
-
-ForwardingTables DegradedDModKRouter::compute(const Fabric& fabric) const {
-  expects(&fabric == &state_->fabric(),
-          "degraded router used with a foreign fabric");
-  return compute_degraded_dmodk(*state_);
 }
 
 }  // namespace ftcf::route

@@ -82,19 +82,4 @@ class DestinationRouter {
 [[nodiscard]] ForwardingTables compute_degraded_dmodk(
     const fault::FaultState& state, DegradedStats* stats = nullptr);
 
-/// Router-interface adapter over compute_degraded_dmodk. `compute` must be
-/// called with the same fabric the fault state was resolved against.
-class DegradedDModKRouter final : public Router {
- public:
-  explicit DegradedDModKRouter(const fault::FaultState& state)
-      : state_(&state) {}
-
-  [[nodiscard]] std::string name() const override { return "dmodk-degraded"; }
-  [[nodiscard]] ForwardingTables compute(
-      const topo::Fabric& fabric) const override;
-
- private:
-  const fault::FaultState* state_;
-};
-
 }  // namespace ftcf::route

@@ -46,10 +46,4 @@ std::vector<topo::PortId> trace_route(const Fabric& fabric,
   return links;
 }
 
-std::size_t route_hops(const Fabric& fabric, const ForwardingTables& tables,
-                       std::uint64_t src, std::uint64_t dst) {
-  const auto links = trace_route(fabric, tables, src, dst);
-  return links.empty() ? 0 : links.size() - 1;
-}
-
 }  // namespace ftcf::route

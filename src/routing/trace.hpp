@@ -110,9 +110,4 @@ void require_delivered(RouteStatus status);
     const topo::Fabric& fabric, const ForwardingTables& tables,
     std::uint64_t src, std::uint64_t dst);
 
-/// Number of switch hops of the traced route (links minus the host link).
-[[nodiscard]] std::size_t route_hops(const topo::Fabric& fabric,
-                                     const ForwardingTables& tables,
-                                     std::uint64_t src, std::uint64_t dst);
-
 }  // namespace ftcf::route

@@ -11,14 +11,6 @@ ParallelPacketSim::ParallelPacketSim(const topo::Fabric& fabric,
                                      Calibration calibration)
     : fabric_(&fabric), tables_(&tables), calib_(calibration) {}
 
-std::vector<PortBuffer> ParallelPacketSim::buffer_topology() const {
-  std::vector<PortBuffer> out;
-  out.reserve(fabric_->num_ports());
-  for (topo::PortId pid = 0; pid < fabric_->num_ports(); ++pid)
-    out.push_back(detail::engine_port_buffer(*fabric_, calib_, pid));
-  return out;
-}
-
 RunResult ParallelPacketSim::run(const std::vector<StageTraffic>& stages,
                                  Progression progression,
                                  std::uint64_t event_limit) {

@@ -78,9 +78,6 @@ class ParallelPacketSim {
     resilience_forced_ = true;
   }
 
-  /// Same credit-flow buffer topology as PacketSim::buffer_topology().
-  [[nodiscard]] std::vector<PortBuffer> buffer_topology() const;
-
   /// Simulate the workload to completion. Semantics and RunResult match
   /// PacketSim::run exactly; `event_limit` is enforced at window
   /// granularity in partitioned runs.

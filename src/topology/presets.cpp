@@ -13,18 +13,6 @@ PgftSpec rlft2_full(std::uint32_t arity) {
   return PgftSpec({arity, 2 * arity}, {1, arity}, {1, 1});
 }
 
-PgftSpec rlft2_leaves(std::uint32_t arity, std::uint32_t leaves) {
-  util::expects(leaves >= 1 && leaves <= 2 * arity,
-                "2-level RLFT supports at most 2K leaf switches");
-  // Pick the largest parallel-port count p2 dividing K with leaves*p2 <= 2K,
-  // so the spine layer uses as few, as-fully-connected switches as possible.
-  std::uint32_t p2 = 1;
-  for (std::uint32_t p = 1; p <= arity; ++p) {
-    if (arity % p == 0 && leaves * p <= 2 * arity) p2 = p;
-  }
-  return PgftSpec({arity, leaves}, {1, arity / p2}, {1, p2});
-}
-
 PgftSpec rlft3_full(std::uint32_t arity) {
   return PgftSpec({arity, arity, 2 * arity}, {1, arity, arity}, {1, 1, 1});
 }
@@ -48,26 +36,6 @@ PgftSpec paper_cluster(std::uint64_t nodes) {
       throw util::SpecError("no paper preset for " + std::to_string(nodes) +
                             " nodes (have 16/128/324/648/1728/1944/11664)");
   }
-}
-
-std::vector<Preset> all_presets() {
-  return {
-      {"fig4a-xgft16", "Fig. 4(a): 16-node XGFT, half-used spines",
-       fig4a_xgft16()},
-      {"fig4b-pgft16", "Fig. 4(b): 16-node PGFT, 2 parallel ports",
-       fig4b_pgft16()},
-      {"rlft2-128", "2-level K=8 full (paper size 128)", paper_cluster(128)},
-      {"rlft2-324", "2-level K=18, 18 leaves, dual-port spines (paper 324)",
-       paper_cluster(324)},
-      {"rlft2-648", "2-level K=18 full (648-port director)",
-       paper_cluster(648)},
-      {"rlft3-1728", "3-level K=12, 12 top columns (paper size 1728)",
-       paper_cluster(1728)},
-      {"rlft3-1944", "3-level K=18, 6 top columns (paper size 1944)",
-       paper_cluster(1944)},
-      {"rlft3-11664", "maximal 3-level 36-port RLFT (paper §V example)",
-       paper_cluster(11664)},
-  };
 }
 
 }  // namespace ftcf::topo

@@ -4,18 +4,11 @@
 // same-radix switches; each preset documents that choice.
 #pragma once
 
-#include <string>
-#include <vector>
+#include <cstdint>
 
 #include "topology/spec.hpp"
 
 namespace ftcf::topo {
-
-struct Preset {
-  std::string name;
-  std::string note;
-  PgftSpec spec;
-};
 
 /// Fig. 4(a): 16 nodes from 8-port switches as an XGFT — 4 spines, each with
 /// only 4 of 8 ports used (the motivating inefficiency).
@@ -28,12 +21,6 @@ PgftSpec fig4b_pgft16();
 /// Two-level RLFT of arity K fully populated: PGFT(2; K,2K; 1,K; 1,1),
 /// N = 2K^2 (e.g. K=18 -> the classic 648-port InfiniBand director).
 PgftSpec rlft2_full(std::uint32_t arity);
-
-/// Two-level RLFT with S <= 2K leaf switches, spine count minimised with
-/// parallel ports where S divides K evenly: PGFT(2; K,S; 1,K/g... ) — we use
-/// PGFT(2; K, S; 1, w2; 1, p2) with w2*p2 = K and p2 = K / gcd-free choice.
-/// For simplicity: p2 = max p such that p divides K and S*p <= 2K; w2 = K/p2.
-PgftSpec rlft2_leaves(std::uint32_t arity, std::uint32_t leaves);
 
 /// Three-level RLFT fully populated: PGFT(3; K,K,2K; 1,K,K; 1,1,1), N = 2K^3.
 PgftSpec rlft3_full(std::uint32_t arity);
@@ -50,8 +37,5 @@ PgftSpec rlft3_top(std::uint32_t arity, std::uint32_t top);
 ///   1944 -> 3-level K=18, 6 top columns (PGFT(3; 18,18,6; 1,18,18; 1,1,1))
 ///   11664-> maximal 3-level 36-port RLFT(3; 18,18,36; 1,18,18; 1,1,1)
 PgftSpec paper_cluster(std::uint64_t nodes);
-
-/// All presets for table-driven tests/benches.
-std::vector<Preset> all_presets();
 
 }  // namespace ftcf::topo

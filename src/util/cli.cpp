@@ -88,10 +88,6 @@ T parse_number(const std::string& name, const std::string& text) {
 }
 }  // namespace
 
-std::int64_t Cli::integer(const std::string& name) const {
-  return parse_number<std::int64_t>(name, lookup(name).value);
-}
-
 std::uint64_t Cli::uinteger(const std::string& name) const {
   return parse_number<std::uint64_t>(name, lookup(name).value);
 }

@@ -28,7 +28,6 @@ class Cli {
 
   [[nodiscard]] bool flag(const std::string& name) const;
   [[nodiscard]] std::string str(const std::string& name) const;
-  [[nodiscard]] std::int64_t integer(const std::string& name) const;
   [[nodiscard]] std::uint64_t uinteger(const std::string& name) const;
   [[nodiscard]] double real(const std::string& name) const;
 

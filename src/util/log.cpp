@@ -103,10 +103,6 @@ std::optional<bool> parse_env_bool(std::string_view s) noexcept {
   return std::nullopt;
 }
 
-void set_log_level(LogLevel level) noexcept {
-  g_level.store(static_cast<int>(level), std::memory_order_relaxed);
-}
-
 LogLevel log_level() noexcept {
   return static_cast<LogLevel>(g_level.load(std::memory_order_relaxed));
 }

@@ -10,10 +10,10 @@
 // environment variable ("debug" | "info" | "warn" | "error", or 0-3), or
 // forced to debug with a truthy FTCF_LOG_DEBUG; an unparseable value in
 // either variable earns one warning line on stderr and falls back to the
-// default instead of silently misbehaving. set_log_level() overrides both at
-// runtime. For debug messages whose *arguments* are expensive to build, use
-// the FTCF_LOG_DEBUG call-site guard macro below — plain log_debug() drops
-// the message below threshold but still evaluates its arguments.
+// default instead of silently misbehaving. For debug messages whose
+// *arguments* are expensive to build, use the FTCF_LOG_DEBUG call-site guard
+// macro below — plain log_debug() drops the message below threshold but
+// still evaluates its arguments.
 #pragma once
 
 #include <optional>
@@ -36,7 +36,6 @@ enum class LogLevel : int { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3 };
 
 /// Global threshold; messages below it are dropped. Default: kInfo, or
 /// FTCF_LOG_LEVEL / FTCF_LOG_DEBUG from the environment when set.
-void set_log_level(LogLevel level) noexcept;
 [[nodiscard]] LogLevel log_level() noexcept;
 
 /// True when a message at `level` would currently be emitted.

@@ -21,12 +21,6 @@ std::uint64_t Xoshiro256::below(std::uint64_t bound) noexcept {
   return static_cast<std::uint64_t>(m >> 64);
 }
 
-std::int64_t Xoshiro256::range(std::int64_t lo, std::int64_t hi) noexcept {
-  const auto span =
-      static_cast<std::uint64_t>(hi - lo) + 1;  // hi >= lo expected
-  return lo + static_cast<std::int64_t>(below(span));
-}
-
 std::vector<std::size_t> random_permutation(std::size_t n, Xoshiro256& rng) {
   std::vector<std::size_t> perm(n);
   std::iota(perm.begin(), perm.end(), std::size_t{0});

@@ -80,9 +80,6 @@ class Xoshiro256 {
   /// Uses Lemire's nearly-divisionless rejection method.
   std::uint64_t below(std::uint64_t bound) noexcept;
 
-  /// Uniform integer in [lo, hi] inclusive.
-  std::int64_t range(std::int64_t lo, std::int64_t hi) noexcept;
-
   /// Uniform double in [0, 1).
   double uniform() noexcept {
     return static_cast<double>((*this)() >> 11) * 0x1.0p-53;

@@ -24,44 +24,22 @@ void Accumulator::merge(const Accumulator& other) noexcept {
   max_ = std::max(max_, other.max_);
 }
 
-std::string IntHistogram::to_string() const {
-  std::string out;
-  for (const auto& [value, count] : bins_) {
-    if (!out.empty()) out.push_back(' ');
-    out += std::to_string(value);
-    out.push_back(':');
-    out += std::to_string(count);
-  }
-  return out;
-}
-
-namespace {
-
-/// Percentile of an already-sorted sample (closest-ranks interpolation).
-double sorted_percentile(const std::vector<double>& sorted, double q) {
-  expects(q >= 0.0 && q <= 1.0, "percentile rank must be in [0,1]");
-  const double pos = q * static_cast<double>(sorted.size() - 1);
-  const auto lo = static_cast<std::size_t>(pos);
-  const double frac = pos - static_cast<double>(lo);
-  if (lo + 1 >= sorted.size()) return sorted.back();
-  return sorted[lo] * (1.0 - frac) + sorted[lo + 1] * frac;
-}
-
-}  // namespace
-
-double percentile(std::vector<double> sample, double q) {
-  expects(!sample.empty(), "percentile of empty sample");
-  std::sort(sample.begin(), sample.end());
-  return sorted_percentile(sample, q);
-}
-
 std::vector<double> percentiles(std::vector<double> sample,
                                 std::span<const double> qs) {
   expects(!sample.empty(), "percentile of empty sample");
   std::sort(sample.begin(), sample.end());
   std::vector<double> out;
   out.reserve(qs.size());
-  for (const double q : qs) out.push_back(sorted_percentile(sample, q));
+  for (const double q : qs) {
+    expects(q >= 0.0 && q <= 1.0, "percentile rank must be in [0,1]");
+    // Closest-ranks interpolation.
+    const double pos = q * static_cast<double>(sample.size() - 1);
+    const auto lo = static_cast<std::size_t>(pos);
+    const double frac = pos - static_cast<double>(lo);
+    out.push_back(lo + 1 >= sample.size()
+                      ? sample.back()
+                      : sample[lo] * (1.0 - frac) + sample[lo + 1] * frac);
+  }
   return out;
 }
 

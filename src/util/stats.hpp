@@ -1,12 +1,10 @@
-// Streaming statistics and simple histograms for experiment reporting.
+// Streaming statistics and percentiles for experiment reporting.
 #pragma once
 
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <map>
 #include <span>
-#include <string>
 #include <vector>
 
 namespace ftcf::util {
@@ -72,43 +70,9 @@ class Accumulator {
   double max_ = -std::numeric_limits<double>::infinity();
 };
 
-/// Exact integer-valued histogram (value -> occurrence count).
-/// Used for link-load distributions, where values are small integers.
-class IntHistogram {
- public:
-  void add(std::int64_t value, std::uint64_t weight = 1) {
-    bins_[value] += weight;
-    total_ += weight;
-  }
-
-  [[nodiscard]] std::uint64_t total() const noexcept { return total_; }
-  [[nodiscard]] std::uint64_t count_of(std::int64_t value) const {
-    const auto it = bins_.find(value);
-    return it == bins_.end() ? 0 : it->second;
-  }
-  [[nodiscard]] std::int64_t max_value() const noexcept {
-    return bins_.empty() ? 0 : bins_.rbegin()->first;
-  }
-  [[nodiscard]] const std::map<std::int64_t, std::uint64_t>& bins() const noexcept {
-    return bins_;
-  }
-
-  /// Render as "v:count v:count ..." for logs and tests.
-  [[nodiscard]] std::string to_string() const;
-
- private:
-  std::map<std::int64_t, std::uint64_t> bins_;
-  std::uint64_t total_ = 0;
-};
-
-/// Exact percentile of a sample (linear interpolation between closest ranks).
-/// q in [0, 1]. The sample is copied and sorted; fine for experiment sizes.
-[[nodiscard]] double percentile(std::vector<double> sample, double q);
-
-/// All requested percentiles of one sample with a single sort: qs[i] in
-/// [0, 1], result[i] = percentile(sample, qs[i]). Use this instead of
-/// repeated percentile() calls when querying p50/p95/p99 of the same
-/// sample — the one-q form re-sorts the whole sample per call.
+/// Exact percentiles of one sample with a single sort (linear interpolation
+/// between closest ranks): qs[i] in [0, 1], result[i] is the qs[i]-quantile.
+/// The sample is copied and sorted; fine for experiment sizes.
 [[nodiscard]] std::vector<double> percentiles(std::vector<double> sample,
                                               std::span<const double> qs);
 

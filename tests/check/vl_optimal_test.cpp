@@ -176,7 +176,7 @@ TEST(VlOptimal, CrownConflictGraphProvesGreedySuboptimal) {
     }
   const VlCdgAnalysis analysis =
       analyze_cdg_per_vl(crown.fabric, crown.tables, assignment);
-  ASSERT_EQ(analysis.num_lanes(), 2u);
+  ASSERT_EQ(analysis.lanes.size(), 2u);
   EXPECT_TRUE(analysis.all_acyclic());
 }
 

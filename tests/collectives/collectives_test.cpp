@@ -36,39 +36,11 @@ TEST_P(RankSweep, BcastBinomialInformsEveryone) {
   EXPECT_EQ(result.trace.sequence.name, "binomial");
 }
 
-TEST_P(RankSweep, ReduceBinomialMatchesOracle) {
-  const std::uint64_t ranks = GetParam();
-  const auto inputs = make_inputs(ranks, 9);
-  const auto result = reduce_binomial(ReduceOp::kSum, inputs);
-  EXPECT_EQ(result.outputs[0], oracle::reduce(ReduceOp::kSum, inputs));
-}
-
 TEST_P(RankSweep, ReduceTournamentMatchesOracle) {
   const std::uint64_t ranks = GetParam();
   const auto inputs = make_inputs(ranks, 5, 7);
   const auto result = reduce_tournament(ReduceOp::kMax, inputs);
   EXPECT_EQ(result.outputs[0], oracle::reduce(ReduceOp::kMax, inputs));
-}
-
-TEST_P(RankSweep, ScatterBinomialDealsBlocks) {
-  const std::uint64_t ranks = GetParam();
-  Buffer root(ranks * 3);
-  for (std::size_t i = 0; i < root.size(); ++i)
-    root[i] = static_cast<Element>(i);
-  const auto result = scatter_binomial(ranks, root);
-  for (std::uint64_t r = 0; r < ranks; ++r) {
-    const Buffer expect{static_cast<Element>(3 * r),
-                        static_cast<Element>(3 * r + 1),
-                        static_cast<Element>(3 * r + 2)};
-    EXPECT_EQ(result.outputs[r], expect) << "rank " << r;
-  }
-}
-
-TEST_P(RankSweep, GatherBinomialAssemblesAtRoot) {
-  const std::uint64_t ranks = GetParam();
-  const auto inputs = make_inputs(ranks, 4, 11);
-  const auto result = gather_binomial(inputs);
-  EXPECT_EQ(result.outputs[0], oracle::gather(inputs));
 }
 
 TEST_P(RankSweep, GatherLinearAssemblesAtRoot) {
@@ -117,13 +89,6 @@ TEST_P(RankSweep, AlltoallPairwiseMatchesOracle) {
     EXPECT_EQ(result.outputs[r], expect[r]) << "rank " << r;
   EXPECT_EQ(result.trace.sequence.name, "shift");
   EXPECT_EQ(result.trace.sequence.num_stages(), ranks - 1);
-}
-
-TEST_P(RankSweep, BarrierReachesEveryRankEveryRound) {
-  const std::uint64_t ranks = GetParam();
-  const auto result = barrier_dissemination(ranks);
-  const std::uint64_t rounds = result.trace.sequence.num_stages();
-  for (const std::uint64_t r : result.outputs) EXPECT_EQ(r, rounds);
 }
 
 TEST(ReduceScatterHalving, MatchesOracleOnPowersOfTwo) {
@@ -184,10 +149,11 @@ TEST(ReduceOps, AllOpsApplyElementwise) {
 
 TEST(Collectives, RejectDegenerateInputs) {
   EXPECT_THROW(bcast_binomial(1, {1}), util::PreconditionError);
-  EXPECT_THROW(reduce_binomial(ReduceOp::kSum, {}), util::PreconditionError);
-  EXPECT_THROW(scatter_binomial(3, {1, 2}), util::PreconditionError);
+  EXPECT_THROW(reduce_tournament(ReduceOp::kSum, {}), util::PreconditionError);
+  EXPECT_THROW(reduce_scatter_halving(ReduceOp::kSum, {{1, 2, 3}, {4, 5, 6}}),
+               util::PreconditionError);
   std::vector<Buffer> ragged{{1, 2}, {3}};
-  EXPECT_THROW(reduce_binomial(ReduceOp::kSum, ragged),
+  EXPECT_THROW(reduce_tournament(ReduceOp::kSum, ragged),
                util::PreconditionError);
 }
 

@@ -21,23 +21,6 @@ std::vector<Buffer> make_inputs(std::uint64_t ranks, std::uint64_t count,
   return inputs;
 }
 
-TEST(ScatterLinear, DealsBlocksFromRoot) {
-  for (const std::uint64_t ranks : {2ull, 5ull, 9ull}) {
-    Buffer root(ranks * 2);
-    for (std::size_t i = 0; i < root.size(); ++i)
-      root[i] = static_cast<Element>(i * 10);
-    const auto result = scatter_linear(ranks, root);
-    for (std::uint64_t r = 0; r < ranks; ++r) {
-      EXPECT_EQ(result.outputs[r],
-                (Buffer{static_cast<Element>(20 * r),
-                        static_cast<Element>(20 * r + 10)}));
-    }
-    // N-1 single-pair stages, all from the root.
-    EXPECT_EQ(result.trace.sequence.num_stages(), ranks - 1);
-    EXPECT_TRUE(cps::shift_contains(result.trace.sequence));
-  }
-}
-
 TEST(AllgatherRecursiveDoubling, MatchesOracleOnPowersOfTwo) {
   for (const std::uint64_t ranks : {2ull, 4ull, 8ull, 16ull, 32ull}) {
     const auto inputs = make_inputs(ranks, 3, ranks);
@@ -81,25 +64,6 @@ TEST(AllreduceRabenseifner, WorksForAllOps) {
     const auto result = allreduce_rabenseifner(op, inputs);
     EXPECT_EQ(result.outputs[3], oracle::reduce(op, inputs));
   }
-}
-
-TEST(BcastScatterRing, DeliversEverywhere) {
-  for (const std::uint64_t ranks : {2ull, 4ull, 6ull, 9ull, 16ull}) {
-    Buffer root(ranks * 3);
-    for (std::size_t i = 0; i < root.size(); ++i)
-      root[i] = static_cast<Element>(i) - 7;
-    const auto result = bcast_scatter_ring(ranks, root);
-    for (std::uint64_t r = 0; r < ranks; ++r)
-      ASSERT_EQ(result.outputs[r], root) << "ranks " << ranks << " rank " << r;
-  }
-}
-
-TEST(BcastScatterRing, TraceConcatenatesPhases) {
-  const auto result = bcast_scatter_ring(8, Buffer(16, 1));
-  // 3 scatter stages + 7 ring stages.
-  EXPECT_EQ(result.trace.sequence.num_stages(), 3u + 7u);
-  EXPECT_EQ(result.trace.bytes_per_pair.size(),
-            result.trace.sequence.num_stages());
 }
 
 }  // namespace

@@ -70,9 +70,12 @@ TEST(SimulateTrace, RanksOrdersTheSameWayAsTheModel) {
 
 TEST(SimulateTrace, ZeroByteStagesStillTraverse) {
   Rig rig;
-  const auto run = barrier_dissemination(128);
+  // A barrier: dissemination pairs that carry no payload.
+  Trace trace;
+  trace.sequence = cps::dissemination(128);
+  trace.bytes_per_pair.assign(trace.sequence.num_stages(), 0);
   const auto cost =
-      simulate_trace(run.trace, rig.fabric, rig.tables, rig.topo_order);
+      simulate_trace(trace, rig.fabric, rig.tables, rig.topo_order);
   EXPECT_GT(cost.run.packets_delivered, 0u);
   EXPECT_GT(cost.seconds, 0.0);
 }

@@ -37,16 +37,6 @@ TEST(Tuned, AllreduceSelectsBySizeAndRankCount) {
   EXPECT_EQ(f.algorithm, "recursive doubling");
 }
 
-TEST(Tuned, AllgatherSelectsRingForLargeBruckForSmallOdd) {
-  const TunedCollectives odd(12);
-  EXPECT_EQ(odd.allgather(make_inputs(12, 8)).algorithm,
-            "bruck (dissemination)");
-  EXPECT_EQ(odd.allgather(make_inputs(12, 4096)).algorithm, "ring");
-  const TunedCollectives pow2(16);
-  EXPECT_EQ(pow2.allgather(make_inputs(16, 8)).algorithm,
-            "recursive doubling");
-}
-
 TEST(Tuned, EveryPathComputesTheRightAnswer) {
   for (const std::uint64_t ranks : {8ull, 12ull}) {
     for (const std::uint64_t count : {16ull, 4096ull}) {
@@ -56,31 +46,15 @@ TEST(Tuned, EveryPathComputesTheRightAnswer) {
       const auto ar = tuned.allreduce(ReduceOp::kSum, inputs);
       for (const Buffer& out : ar.result.outputs) ASSERT_EQ(out, sum);
 
-      const auto ag = tuned.allgather(inputs);
-      ASSERT_EQ(ag.result.outputs[ranks - 1], oracle::gather(inputs));
-
-      Buffer root(ranks * 4);
-      for (std::size_t i = 0; i < root.size(); ++i)
-        root[i] = static_cast<Element>(i);
-      const auto bc = tuned.bcast(root);
-      ASSERT_EQ(bc.result.outputs[1], root);
-
-      const auto rd = tuned.reduce(ReduceOp::kMax, inputs);
-      ASSERT_EQ(rd.result.outputs[0], oracle::reduce(ReduceOp::kMax, inputs));
-
-      const auto sc = tuned.scatter(root);
-      ASSERT_EQ(sc.result.outputs[ranks - 1],
-                Buffer(root.end() - 4, root.end()));
-
-      const auto ga = tuned.gather(inputs);
-      ASSERT_EQ(ga.result.outputs[0], oracle::gather(inputs));
+      const auto blocks = make_inputs(ranks, ranks * 2, ranks + count + 1);
+      const auto a2a = tuned.alltoall(blocks, 2);
+      ASSERT_EQ(a2a.result.outputs, oracle::alltoall(blocks, 2));
     }
   }
 }
 
-TEST(Tuned, BarrierAndAlltoallAlwaysUseTheirOneAlgorithm) {
+TEST(Tuned, AlltoallAlwaysUsesPairwiseExchange) {
   const TunedCollectives tuned(9);
-  EXPECT_EQ(tuned.barrier().algorithm, "dissemination");
   const auto inputs = make_inputs(9, 18);
   EXPECT_EQ(tuned.alltoall(inputs, 2).algorithm, "pairwise exchange (shift)");
 }
@@ -93,11 +67,11 @@ TEST(Tuned, SelectedTracesAreCongestionFreeUnderThePlan) {
   const TunedCollectives tuned(fabric.num_hosts());
   const auto inputs = make_inputs(fabric.num_hosts(), 2048, 9);
 
-  const auto ar = tuned.allreduce(ReduceOp::kSum, inputs);
-  const auto ag = tuned.allgather(inputs);
-  const auto bc = tuned.bcast(Buffer(fabric.num_hosts() * 4, 1));
+  const auto small = tuned.allreduce(ReduceOp::kSum, make_inputs(128, 16, 9));
+  const auto large = tuned.allreduce(ReduceOp::kSum, inputs);
+  const auto a2a = tuned.alltoall(make_inputs(128, 128, 9), 1);
   for (const Trace* trace :
-       {&ar.result.trace, &ag.result.trace, &bc.result.trace}) {
+       {&small.result.trace, &large.result.trace, &a2a.result.trace}) {
     const auto audit = plan.audit(trace->sequence);
     EXPECT_TRUE(audit.congestion_free)
         << trace->sequence.name << " worst HSD "
@@ -105,11 +79,20 @@ TEST(Tuned, SelectedTracesAreCongestionFreeUnderThePlan) {
   }
 }
 
-TEST(Tuned, ThresholdIsConfigurable) {
-  TunedConfig config;
-  config.small_threshold_bytes = 1;  // everything is "large"
-  const TunedCollectives tuned(16, config);
-  EXPECT_EQ(tuned.allgather(make_inputs(16, 2)).algorithm, "ring");
+TEST(Tuned, SwitchPointIsEightKibPerRank) {
+  // Elements are 8 bytes, so 1023 elements (8184 B) is the largest small
+  // message and 1024 elements (8192 B) the smallest large one.
+  const TunedCollectives tuned(16);
+  EXPECT_EQ(tuned.allreduce(ReduceOp::kSum, make_inputs(16, 1023)).algorithm,
+            "recursive doubling");
+  EXPECT_EQ(tuned.allreduce(ReduceOp::kSum, make_inputs(16, 1024)).algorithm,
+            "rabenseifner (reduce-scatter + allgather)");
+  EXPECT_EQ(tuned.allreduce(ReduceOp::kSum, make_inputs(16, 2048)).algorithm,
+            "rabenseifner (reduce-scatter + allgather)");
+  EXPECT_EQ(tuned.alltoall(make_inputs(16, 16 * 1023), 1023).algorithm,
+            "pairwise exchange (shift)");
+  EXPECT_EQ(tuned.alltoall(make_inputs(16, 16 * 1024), 1024).algorithm,
+            "pairwise exchange (shift)");
 }
 
 TEST(Tuned, RejectsDegenerateRankCounts) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "check/certify.hpp"
 #include "core/grouped_rd.hpp"
 #include "topology/presets.hpp"
 
@@ -53,13 +54,6 @@ TEST(CollectivePlan, RecursiveHalvingIsTheGroupedHalvingSequence) {
   expect_same_stages(seq, grouped_recursive_halving(fabric));
   ASSERT_FALSE(seq.stages.empty());
   EXPECT_EQ(seq.stages.front().role, cps::StageRole::kFold);
-
-  std::vector<std::uint64_t> participants;
-  for (std::uint64_t j = 0; j < fabric.num_hosts(); j += 2)
-    participants.push_back(j);
-  const CollectivePlan job(fabric, participants);
-  expect_same_stages(job.sequence_for(cps::CpsKind::kRecursiveHalving),
-                     grouped_recursive_halving(fabric, participants));
 }
 
 TEST(CollectivePlan, NaiveRecursiveDoublingWouldCongest) {
@@ -77,15 +71,19 @@ TEST(CollectivePlan, NaiveRecursiveDoublingWouldCongest) {
 
 TEST(CollectivePlan, PartialJobOverResidueAllocation) {
   const Fabric fabric(topo::paper_cluster(128));
-  // Sub-allocation residue 0: hosts 0, 16, 32, ... (one per leaf pair).
+  const CollectivePlan plan(fabric);
+  // Sub-allocation residue 0: hosts 0, 16, 32, ... (one per leaf pair),
+  // ranked compactly, under the plan's D-Mod-K tables.
   std::vector<std::uint64_t> participants;
   for (std::uint64_t j = 0; j < fabric.num_hosts(); j += 16)
     participants.push_back(j);
-  const CollectivePlan plan(fabric, participants);
-  EXPECT_EQ(plan.num_ranks(), 8u);
-  const auto audit = plan.audit(plan.sequence_for(cps::CpsKind::kShift));
-  EXPECT_TRUE(audit.congestion_free)
-      << "worst HSD " << audit.metrics.worst_stage_hsd;
+  const auto job =
+      order::NodeOrdering::compact_subset(participants, fabric.num_hosts());
+  EXPECT_EQ(job.num_ranks(), 8u);
+  const check::Certificate cert = check::certify_contention_freedom(
+      fabric, plan.tables(), job, cps::shift(job.num_ranks()));
+  EXPECT_TRUE(cert.contention_free);
+  for (const check::StageWitness& w : cert.stages) EXPECT_EQ(w.max_hsd, 1u);
 }
 
 TEST(CollectivePlan, OrderingIsTopological) {

@@ -14,8 +14,8 @@ TEST(Theorem1, HoldsAcrossRlftSweep) {
   for (const PgftSpec& spec : {
            topo::fig4b_pgft16(),
            topo::rlft2_full(4),
-           topo::rlft2_leaves(4, 4),
-           topo::rlft2_leaves(6, 4),
+           PgftSpec({4, 4}, {1, 2}, {1, 2}),
+           PgftSpec({6, 4}, {1, 2}, {1, 3}),
            topo::paper_cluster(128),
            PgftSpec({2, 2, 4}, {1, 2, 2}, {1, 1, 1}),
            PgftSpec({3, 3, 6}, {1, 3, 3}, {1, 1, 1}),
@@ -33,7 +33,7 @@ TEST(Theorem2, HoldsAcrossRlftSweep) {
   for (const PgftSpec& spec : {
            topo::fig4b_pgft16(),
            topo::rlft2_full(4),
-           topo::rlft2_leaves(4, 4),
+           PgftSpec({4, 4}, {1, 2}, {1, 2}),
            topo::paper_cluster(128),
            PgftSpec({2, 2, 4}, {1, 2, 2}, {1, 1, 1}),
            PgftSpec({3, 3, 6}, {1, 3, 3}, {1, 1, 1}),

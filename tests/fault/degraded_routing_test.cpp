@@ -90,15 +90,6 @@ TEST(DegradedDmodk, DeadSwitchEntriesStayUnprogrammed) {
   EXPECT_TRUE(validate_lft(fabric, tables, &state).all_reachable());
 }
 
-TEST(DegradedDmodk, RouterAdapterMatchesFreeFunction) {
-  const Fabric fabric(topo::fig4b_pgft16());
-  const FaultState state(fabric, parse_faults("link:S1_0:4"));
-  const DegradedDModKRouter router(state);
-  EXPECT_EQ(router.name(), "dmodk-degraded");
-  EXPECT_TRUE(same_tables(fabric, router.compute(fabric),
-                          compute_degraded_dmodk(state)));
-}
-
 /// Hosts reachable from `from` over up-then-down walks of the surviving
 /// graph — the set any up*/down* routing can legally serve.
 std::vector<std::uint64_t> updown_reachable(const Fabric& fabric,

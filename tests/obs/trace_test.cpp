@@ -51,18 +51,6 @@ TEST(TraceRecorder, OverflowKeepsFirstAndCountsDrops) {
   EXPECT_EQ(rec.events().data(), data_before);
 }
 
-TEST(TraceRecorder, ClearKeepsCapacity) {
-  TraceRecorder rec(4);
-  for (int i = 0; i < 8; ++i)
-    rec.record(make_event(i, EventKind::kCreditStall));
-  rec.clear();
-  EXPECT_EQ(rec.size(), 0u);
-  EXPECT_EQ(rec.dropped(), 0u);
-  EXPECT_EQ(rec.capacity(), 4u);
-  rec.record(make_event(1, EventKind::kCreditStall));
-  EXPECT_EQ(rec.size(), 1u);
-}
-
 TEST(TraceExport, EveryKindHasAName) {
   for (int k = 0; k <= static_cast<int>(EventKind::kLinkUp); ++k) {
     const char* name = event_kind_name(static_cast<EventKind>(k));

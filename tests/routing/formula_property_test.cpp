@@ -18,7 +18,7 @@ std::vector<PgftSpec> sweep() {
   return {
       topo::fig4b_pgft16(),
       topo::rlft2_full(6),
-      topo::rlft2_leaves(6, 6),
+      PgftSpec({6, 6}, {1, 3}, {1, 2}),
       topo::paper_cluster(324),
       PgftSpec({3, 3, 6}, {1, 3, 3}, {1, 1, 1}),
       PgftSpec({4, 2, 4}, {1, 2, 4}, {1, 2, 1}),  // parallel mid-level rails

@@ -30,9 +30,10 @@ TEST(Trace, FirstLinkLeavesTheSourceHost) {
 TEST(Trace, HopsCountExcludesHostLink) {
   const Fabric fabric(topo::fig4b_pgft16());
   const ForwardingTables tables = DModKRouter{}.compute(fabric);
-  EXPECT_EQ(route_hops(fabric, tables, 0, 1), 1u);   // via shared leaf
-  EXPECT_EQ(route_hops(fabric, tables, 0, 15), 3u);  // up to spine and down
-  EXPECT_EQ(route_hops(fabric, tables, 0, 0), 0u);
+  // Switch hops are the traced links minus the host link.
+  EXPECT_EQ(trace_route(fabric, tables, 0, 1).size() - 1, 1u);   // shared leaf
+  EXPECT_EQ(trace_route(fabric, tables, 0, 15).size() - 1, 3u);  // via spine
+  EXPECT_TRUE(trace_route(fabric, tables, 0, 0).empty());
 }
 
 TEST(Trace, UpDownPropertyHoldsOnDModK) {

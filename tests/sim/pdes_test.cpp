@@ -164,20 +164,5 @@ TEST(Pdes, MatchesSerialUnderFaultsAndResilience) {
   }
 }
 
-TEST(Pdes, BufferTopologyMatchesSerial) {
-  const Fabric fabric(topo::fig4b_pgft16());
-  const auto tables = route::DModKRouter{}.compute(fabric);
-  const PacketSim serial(fabric, tables);
-  const ParallelPacketSim pdes(fabric, tables);
-  const auto a = serial.buffer_topology();
-  const auto b = pdes.buffer_topology();
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].credits, b[i].credits);
-    EXPECT_EQ(a[i].finite, b[i].finite);
-    EXPECT_EQ(a[i].rate_bytes_per_sec, b[i].rate_bytes_per_sec);
-  }
-}
-
 }  // namespace
 }  // namespace ftcf::sim

@@ -17,6 +17,9 @@ TEST(Presets, PaperClusterSizes) {
   EXPECT_EQ(paper_cluster(1728).num_hosts(), 1728u);
   EXPECT_EQ(paper_cluster(1944).num_hosts(), 1944u);
   EXPECT_EQ(paper_cluster(11664).num_hosts(), 11664u);
+  // 324: 18 leaves under 9 dual-ported spines.
+  EXPECT_EQ(paper_cluster(324).p(2), 2u);
+  EXPECT_EQ(paper_cluster(324).nodes_at_level(2), 9u);
 }
 
 TEST(Presets, UnknownSizeThrows) {
@@ -50,26 +53,9 @@ TEST(Presets, Rlft2FullMatchesDirectorDimensions) {
   EXPECT_EQ(spec.down_ports_at_level(2), 36u);
 }
 
-TEST(Presets, Rlft2LeavesUsesParallelPorts) {
-  const PgftSpec spec = rlft2_leaves(18, 18);  // the paper's 324-node size
-  EXPECT_EQ(spec.num_hosts(), 324u);
-  EXPECT_TRUE(spec.is_rlft());
-  EXPECT_EQ(spec.p(2), 2u);               // dual-rail spine links
-  EXPECT_EQ(spec.nodes_at_level(2), 9u);  // 9 fully-used spines
-  EXPECT_THROW(rlft2_leaves(18, 37), util::PreconditionError);
-}
-
 TEST(Presets, Rlft3TopBounds) {
   EXPECT_EQ(rlft3_top(18, 6).num_hosts(), 1944u);
   EXPECT_THROW(rlft3_top(18, 37), util::PreconditionError);
-}
-
-TEST(Presets, CatalogEntriesAreWellFormed) {
-  for (const Preset& preset : all_presets()) {
-    EXPECT_FALSE(preset.name.empty());
-    EXPECT_FALSE(preset.note.empty());
-    EXPECT_GE(preset.spec.num_hosts(), 16u);
-  }
 }
 
 }  // namespace

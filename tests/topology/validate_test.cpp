@@ -5,12 +5,16 @@
 #include "topology/presets.hpp"
 
 namespace ftcf::topo {
-
-// Print the preset name, so test names never carry pointer bytes. It lives
-// outside the unnamed namespace so that gtest finds it by ADL on Preset.
-static void PrintTo(const Preset& p, std::ostream* os) { *os << p.name; }
-
 namespace {
+
+struct Preset {
+  std::string name;
+  PgftSpec spec;
+};
+
+// Print the preset name, so test names never carry pointer bytes; gtest
+// finds it by ADL on Preset.
+void PrintTo(const Preset& p, std::ostream* os) { *os << p.name; }
 
 class ValidatePresetTest : public ::testing::TestWithParam<Preset> {};
 
@@ -35,13 +39,13 @@ TEST_P(ValidatePresetTest, CbbAuditAgreesWithSpecPredicate) {
 // The two big 3-level fabrics take seconds to audit; cover the rest densely.
 INSTANTIATE_TEST_SUITE_P(
     Presets, ValidatePresetTest,
-    ::testing::Values(Preset{"fig4a", "", fig4a_xgft16()},
-                      Preset{"fig4b", "", fig4b_pgft16()},
-                      Preset{"rlft2-128", "", paper_cluster(128)},
-                      Preset{"rlft2-324", "", paper_cluster(324)},
-                      Preset{"rlft3-tiny", "", rlft3_top(2, 2)},
-                      Preset{"rlft3-small", "", rlft3_top(4, 4)},
-                      Preset{"xgft-asym", "",
+    ::testing::Values(Preset{"fig4a", fig4a_xgft16()},
+                      Preset{"fig4b", fig4b_pgft16()},
+                      Preset{"rlft2-128", paper_cluster(128)},
+                      Preset{"rlft2-324", paper_cluster(324)},
+                      Preset{"rlft3-tiny", rlft3_top(2, 2)},
+                      Preset{"rlft3-small", rlft3_top(4, 4)},
+                      Preset{"xgft-asym",
                              PgftSpec::xgft({3, 5, 2}, {1, 3, 5})}),
     [](const ::testing::TestParamInfo<Preset>& info) {
       std::string name = info.param.name;

@@ -33,7 +33,7 @@ TEST(Cli, DefaultsApply) {
 TEST(Cli, ParsesSeparatedAndEqualsForms) {
   Cli cli = make_cli();
   EXPECT_TRUE(parse(cli, {"--nodes", "128", "--ratio=0.25", "--verbose"}));
-  EXPECT_EQ(cli.integer("nodes"), 128);
+  EXPECT_EQ(cli.uinteger("nodes"), 128u);
   EXPECT_DOUBLE_EQ(cli.real("ratio"), 0.25);
   EXPECT_TRUE(cli.flag("verbose"));
 }

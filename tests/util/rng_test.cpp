@@ -47,20 +47,6 @@ TEST(Xoshiro256, BelowCoversAllResidues) {
   EXPECT_EQ(seen.size(), 7u);
 }
 
-TEST(Xoshiro256, RangeIsInclusive) {
-  Xoshiro256 rng(3);
-  bool hit_lo = false, hit_hi = false;
-  for (int i = 0; i < 2000; ++i) {
-    const auto v = rng.range(-2, 2);
-    EXPECT_GE(v, -2);
-    EXPECT_LE(v, 2);
-    hit_lo = hit_lo || v == -2;
-    hit_hi = hit_hi || v == 2;
-  }
-  EXPECT_TRUE(hit_lo);
-  EXPECT_TRUE(hit_hi);
-}
-
 TEST(Xoshiro256, UniformIsInUnitInterval) {
   Xoshiro256 rng(5);
   double sum = 0;

@@ -55,32 +55,22 @@ TEST(Accumulator, MergeWithEmpty) {
   EXPECT_DOUBLE_EQ(empty.mean(), 2.0);
 }
 
-TEST(IntHistogram, CountsAndMax) {
-  IntHistogram hist;
-  hist.add(1, 5);
-  hist.add(2);
-  hist.add(2);
-  hist.add(7);
-  EXPECT_EQ(hist.total(), 8u);
-  EXPECT_EQ(hist.count_of(1), 5u);
-  EXPECT_EQ(hist.count_of(2), 2u);
-  EXPECT_EQ(hist.count_of(3), 0u);
-  EXPECT_EQ(hist.max_value(), 7);
-  EXPECT_EQ(hist.to_string(), "1:5 2:2 7:1");
-}
-
 TEST(Percentile, InterpolatesBetweenRanks) {
-  const std::vector<double> sample{1, 2, 3, 4, 5};
-  EXPECT_DOUBLE_EQ(percentile(sample, 0.0), 1.0);
-  EXPECT_DOUBLE_EQ(percentile(sample, 1.0), 5.0);
-  EXPECT_DOUBLE_EQ(percentile(sample, 0.5), 3.0);
-  EXPECT_DOUBLE_EQ(percentile(sample, 0.25), 2.0);
-  EXPECT_DOUBLE_EQ(percentile(sample, 0.1), 1.4);
+  const std::vector<double> sample{5, 3, 1, 4, 2};
+  constexpr std::array<double, 5> kQs = {0.0, 1.0, 0.5, 0.25, 0.1};
+  const std::vector<double> got = percentiles(sample, kQs);
+  EXPECT_DOUBLE_EQ(got[0], 1.0);
+  EXPECT_DOUBLE_EQ(got[1], 5.0);
+  EXPECT_DOUBLE_EQ(got[2], 3.0);
+  EXPECT_DOUBLE_EQ(got[3], 2.0);
+  EXPECT_DOUBLE_EQ(got[4], 1.4);
 }
 
 TEST(Percentile, RejectsBadInput) {
-  EXPECT_THROW(percentile({}, 0.5), PreconditionError);
-  EXPECT_THROW(percentile({1.0}, 1.5), PreconditionError);
+  constexpr std::array<double, 1> kMedian = {0.5};
+  constexpr std::array<double, 1> kOutOfRange = {1.5};
+  EXPECT_THROW(percentiles({}, kMedian), PreconditionError);
+  EXPECT_THROW(percentiles({1.0}, kOutOfRange), PreconditionError);
 }
 
 TEST(Percentiles, MatchesRepeatedSingleQueries) {
@@ -89,7 +79,8 @@ TEST(Percentiles, MatchesRepeatedSingleQueries) {
   const std::vector<double> batch = percentiles(sample, qs);
   ASSERT_EQ(batch.size(), qs.size());
   for (std::size_t i = 0; i < qs.size(); ++i)
-    EXPECT_DOUBLE_EQ(batch[i], percentile(sample, qs[i])) << "q=" << qs[i];
+    EXPECT_DOUBLE_EQ(batch[i], percentiles(sample, std::span(&qs[i], 1))[0])
+        << "q=" << qs[i];
 }
 
 TEST(Percentiles, QueriesNeedNotBeSorted) {
