@@ -21,7 +21,6 @@
 #include "obs/cli.hpp"
 #include "routing/dmodk.hpp"
 #include "sim/packet_sim.hpp"
-#include "sim/pdes.hpp"
 #include "topology/obs_names.hpp"
 #include "topology/presets.hpp"
 #include "util/cli.hpp"
@@ -57,11 +56,10 @@ int run_main(int argc, char** argv) {
                  "size; 0 = auto)", "0");
   cli.add_option("seed", "random-order seed", "2011");
   cli.add_flag("full", "use the paper's 1944-node topology");
-  cli.add_flag("pdes", "run the partitioned parallel engine (same results; "
-               "see --partitions)");
   cli.add_option("partitions",
-                 "PDES partition count (implies --pdes; 0 = thread count)",
-                 "0");
+                 "packet-engine partitions (PDES; same results): 1 = serial, "
+                 "0 = one per thread",
+                 "1");
   cli.add_flag("csv", "CSV output");
   obs::ObsCli::add_options(cli);
   if (!cli.parse(argc, argv)) return 0;
@@ -70,20 +68,12 @@ int run_main(int argc, char** argv) {
   const std::uint64_t nodes = cli.flag("full") ? 1944 : cli.uinteger("nodes");
   const topo::Fabric fabric(topo::paper_cluster(nodes));
   const auto tables = route::DModKRouter{}.compute(fabric);
-  const bool use_pdes = cli.flag("pdes") || cli.uinteger("partitions") > 0;
-  sim::PacketSim serial_sim(fabric, tables);
-  serial_sim.set_observer(obs_cli.observer());
-  sim::ParallelPacketSim pdes_sim(fabric, tables);
-  pdes_sim.set_observer(obs_cli.observer());
-  pdes_sim.set_partitions(
-      cli.uinteger("partitions") > 0
-          ? static_cast<std::uint32_t>(cli.uinteger("partitions"))
-          : par::default_threads());
-  const auto psim_run = [&](const std::vector<sim::StageTraffic>& traffic,
-                            sim::Progression progression) {
-    return use_pdes ? pdes_sim.run(traffic, progression)
-                    : serial_sim.run(traffic, progression);
-  };
+  sim::PacketSim psim(fabric, tables);
+  psim.set_observer(obs_cli.observer());
+  psim.set_partitions(
+      cli.uinteger("partitions") == 0
+          ? par::default_threads()
+          : static_cast<std::uint32_t>(cli.uinteger("partitions")));
 
   const std::uint64_t n = fabric.num_hosts();
   const auto random_order = order::NodeOrdering::random(fabric, cli.uinteger("seed"));
@@ -106,13 +96,13 @@ int run_main(int argc, char** argv) {
     }
     const auto subset = sample_stages(shift_seq.num_stages(), want);
 
-    const auto shift_random = psim_run(
+    const auto shift_random = psim.run(
         sim::traffic_from_cps(shift_seq, random_order, n, bytes, &subset),
         sim::Progression::kAsync);
     const auto rd_random =
-        psim_run(sim::traffic_from_cps(rd_seq, random_order, n, bytes),
+        psim.run(sim::traffic_from_cps(rd_seq, random_order, n, bytes),
                  sim::Progression::kAsync);
-    const auto shift_ordered = psim_run(
+    const auto shift_ordered = psim.run(
         sim::traffic_from_cps(shift_seq, topo_order, n, bytes, &subset),
         sim::Progression::kAsync);
 

@@ -12,7 +12,6 @@
 #include "obs/cli.hpp"
 #include "routing/dmodk.hpp"
 #include "sim/packet_sim.hpp"
-#include "sim/pdes.hpp"
 #include "topology/obs_names.hpp"
 #include "topology/presets.hpp"
 #include "util/cli.hpp"
@@ -30,11 +29,10 @@ int run_main(int argc, char** argv) {
   cli.add_option("nodes", "cluster size preset (2-level)", "648");
   cli.add_option("kib", "message size in KiB", "1024");
   cli.add_option("seed", "random-order seed", "7");
-  cli.add_flag("pdes", "run the partitioned parallel engine (same results; "
-               "see --partitions)");
   cli.add_option("partitions",
-                 "PDES partition count (implies --pdes; 0 = thread count)",
-                 "0");
+                 "packet-engine partitions (PDES; same results): 1 = serial, "
+                 "0 = one per thread",
+                 "1");
   cli.add_flag("csv", "CSV output");
   obs::ObsCli::add_options(cli);
   if (!cli.parse(argc, argv)) return 0;
@@ -42,15 +40,12 @@ int run_main(int argc, char** argv) {
 
   const topo::Fabric fabric(topo::paper_cluster(cli.uinteger("nodes")));
   const auto tables = route::DModKRouter{}.compute(fabric);
-  const bool use_pdes = cli.flag("pdes") || cli.uinteger("partitions") > 0;
-  sim::PacketSim serial_sim(fabric, tables);
-  serial_sim.set_observer(obs_cli.observer());
-  sim::ParallelPacketSim pdes_sim(fabric, tables);
-  pdes_sim.set_observer(obs_cli.observer());
-  pdes_sim.set_partitions(
-      cli.uinteger("partitions") > 0
-          ? static_cast<std::uint32_t>(cli.uinteger("partitions"))
-          : par::default_threads());
+  sim::PacketSim psim(fabric, tables);
+  psim.set_observer(obs_cli.observer());
+  psim.set_partitions(
+      cli.uinteger("partitions") == 0
+          ? par::default_threads()
+          : static_cast<std::uint32_t>(cli.uinteger("partitions")));
   const std::uint64_t n = fabric.num_hosts();
   const std::uint64_t bytes = cli.uinteger("kib") * 1024;
   const cps::Sequence ring = cps::ring(n);
@@ -63,9 +58,7 @@ int run_main(int argc, char** argv) {
 
   const auto run = [&](const order::NodeOrdering& ordering) {
     const auto traffic = sim::traffic_from_cps(ring, ordering, n, bytes);
-    return use_pdes
-               ? pdes_sim.run(traffic, sim::Progression::kSynchronized)
-               : serial_sim.run(traffic, sim::Progression::kSynchronized);
+    return psim.run(traffic, sim::Progression::kSynchronized);
   };
 
   struct Case {

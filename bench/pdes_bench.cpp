@@ -14,7 +14,7 @@
 #include "cps/generators.hpp"
 #include "ordering/ordering.hpp"
 #include "routing/dmodk.hpp"
-#include "sim/pdes.hpp"
+#include "sim/packet_sim.hpp"
 #include "topology/presets.hpp"
 #include "util/cli.hpp"
 #include "util/thread_pool.hpp"
@@ -67,7 +67,7 @@ void BM_PdesEngine648(benchmark::State& state) {
   par::set_default_threads(threads);
   std::uint64_t events = 0;
   for (auto _ : state) {
-    sim::ParallelPacketSim psim(r.fabric, r.tables);
+    sim::PacketSim psim(r.fabric, r.tables);
     psim.set_partitions(partitions);
     const sim::RunResult result =
         psim.run(r.workload, sim::Progression::kSynchronized);

@@ -5,11 +5,11 @@
 // (topology) placement, *every* Shift stage is contention free, so every
 // stage sustains full normalized bandwidth.
 //
-// Stages are independent runs, so the sweep is embarrassingly parallel at
-// the stage level; --pdes additionally partitions each run's fabric. The
-// JSON artifact (--json) is deterministic: per-stage normalized bandwidth as
-// a series indexed by displacement, plus min/mean/max summary gauges — CI
-// uploads it for the 11664-node RLFT (see .github/workflows/ci.yml).
+// Stages are independent runs; --partitions N splits each run's fabric over
+// N partitions of the packet engine. The JSON artifact (--json) is
+// deterministic: per-stage normalized bandwidth as a series indexed by
+// displacement, plus min/mean/max summary gauges — CI uploads it for the
+// 11664-node RLFT (see .github/workflows/ci.yml).
 #include <fstream>
 #include <iostream>
 
@@ -17,7 +17,7 @@
 #include "obs/metrics.hpp"
 #include "ordering/ordering.hpp"
 #include "routing/dmodk.hpp"
-#include "sim/pdes.hpp"
+#include "sim/packet_sim.hpp"
 #include "topology/presets.hpp"
 #include "util/cli.hpp"
 #include "util/error.hpp"
@@ -38,10 +38,10 @@ int run(int argc, char** argv) {
   cli.add_option("order", "topology|random|adversarial", "topology");
   cli.add_option("seed", "random-order seed", "2011");
   cli.add_option("threads", "worker threads (0 = hardware)", "0");
-  cli.add_flag("pdes", "run each stage on the partitioned parallel engine");
   cli.add_option("partitions",
-                 "PDES partition count (implies --pdes; 0 = thread count)",
-                 "0");
+                 "packet-engine partitions per stage run (PDES): 1 = serial, "
+                 "0 = one per thread",
+                 "1");
   cli.add_option("max-stages", "stop after this many displacements (0 = all; "
                  "smoke-test hook)", "0");
   cli.add_option("json", "deterministic JSON artifact ('-' = skip)", "-");
@@ -68,11 +68,11 @@ int run(int argc, char** argv) {
                  ? order::NodeOrdering::adversarial_ring(fabric)
                  : order::NodeOrdering::topology(fabric));
 
-  const bool use_pdes = cli.flag("pdes") || cli.uinteger("partitions") > 0;
-  const std::uint32_t partitions =
-      cli.uinteger("partitions") > 0
-          ? static_cast<std::uint32_t>(cli.uinteger("partitions"))
-          : par::default_threads();
+  sim::PacketSim psim(fabric, tables);
+  psim.set_partitions(
+      cli.uinteger("partitions") == 0
+          ? par::default_threads()
+          : static_cast<std::uint32_t>(cli.uinteger("partitions")));
 
   std::uint64_t displacements = n - 1;
   if (cli.uinteger("max-stages") > 0 &&
@@ -84,7 +84,8 @@ int run(int argc, char** argv) {
   registry.set_meta("topology", fabric.spec().to_string());
   registry.set_meta("order", cli.str("order"));
   registry.set_meta("kib", std::to_string(cli.uinteger("kib")));
-  registry.set_meta("engine", use_pdes ? "pdes" : "serial");
+  registry.set_meta("engine",
+                    cli.uinteger("partitions") == 1 ? "serial" : "pdes");
   // One sample per displacement; keep the series unsampled even at 11664.
   registry.set_series_capacity(
       static_cast<std::size_t>(displacements) + 2);
@@ -102,15 +103,7 @@ int run(int argc, char** argv) {
     one.stages.push_back(cps::shift_stage(n, s));
     const auto traffic = sim::traffic_from_cps(one, ordering, n, bytes);
 
-    sim::RunResult result;
-    if (use_pdes) {
-      sim::ParallelPacketSim psim(fabric, tables);
-      psim.set_partitions(partitions);
-      result = psim.run(traffic, sim::Progression::kAsync);
-    } else {
-      sim::PacketSim psim(fabric, tables);
-      result = psim.run(traffic, sim::Progression::kAsync);
-    }
+    const sim::RunResult result = psim.run(traffic, sim::Progression::kAsync);
     total_events += result.events;
     const double bw = result.normalized_bw;
     bw_series.sample(static_cast<sim::SimTime>(s), bw);

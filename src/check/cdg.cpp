@@ -55,12 +55,8 @@ AdaptiveCdgAnalysis analyze_adaptive_cdg(const Fabric& fabric,
   analysis.cdg.num_channels = ci.size();
   if (ci.empty()) return analysis;  // single-switch or host-only
 
-  const std::vector<std::uint64_t> deps = build_relation_dependencies(
-      fabric,
-      [&](topo::NodeId sw, std::uint64_t dest, std::vector<std::uint32_t>& out) {
-        route::adaptive_candidates(fabric, tables, sw, dest, out);
-      },
-      ci, "check.cdg.adaptive");
+  const std::vector<std::uint64_t> deps =
+      build_relation_dependencies(fabric, tables, ci, "check.cdg.adaptive");
   analysis.cdg.num_dependencies = deps.size();
   for (const std::uint64_t packed : deps) {
     const PortId from = ci.channels[packed >> 32];

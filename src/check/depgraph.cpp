@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <sstream>
 
+#include "routing/adaptive.hpp"
 #include "routing/trace.hpp"
 #include "util/expects.hpp"
 #include "util/thread_pool.hpp"
@@ -81,22 +82,24 @@ std::vector<std::uint64_t> host_dependencies(
 /// (u, d) depends on every candidate out-channel of the peer switch it
 /// reaches, for the same destination.
 std::vector<std::uint64_t> switch_relation_dependencies(
-    const Fabric& fabric, const RoutingRelation& relation,
+    const Fabric& fabric, const route::ForwardingTables& tables,
     const ChannelIndex& ci, NodeId u) {
   std::vector<std::uint64_t> deps;
-  std::vector<std::uint32_t> outs_u;
-  std::vector<std::uint32_t> outs_v;
   const std::uint64_t n = fabric.num_hosts();
   for (std::uint64_t d = 0; d < n; ++d) {
-    relation(u, d, outs_u);
-    for (const std::uint32_t o1 : outs_u) {
+    const route::PortRange outs_u =
+        route::adaptive_candidates(fabric, tables, u, d);
+    for (std::uint32_t o1 = outs_u.first; o1 < outs_u.first + outs_u.count;
+         ++o1) {
       const PortId e1 = fabric.port_id(u, o1);
       const std::uint32_t c1 = ci.dense[e1];
       if (c1 == kNoChannel) continue;  // terminates at a host
       const NodeId v = fabric.port(fabric.port(e1).peer).node;
       if (fabric.node(v).kind != topo::NodeKind::kSwitch) continue;
-      relation(v, d, outs_v);
-      for (const std::uint32_t o2 : outs_v) {
+      const route::PortRange outs_v =
+          route::adaptive_candidates(fabric, tables, v, d);
+      for (std::uint32_t o2 = outs_v.first; o2 < outs_v.first + outs_v.count;
+           ++o2) {
         const PortId e2 = fabric.port_id(v, o2);
         const std::uint32_t c2 = ci.dense[e2];
         if (c2 == kNoChannel) continue;
@@ -171,13 +174,13 @@ std::vector<std::uint64_t> build_dependencies(
 }
 
 std::vector<std::uint64_t> build_relation_dependencies(
-    const Fabric& fabric, const RoutingRelation& relation,
+    const Fabric& fabric, const route::ForwardingTables& tables,
     const ChannelIndex& ci, const char* label) {
   const std::span<const NodeId> switches = fabric.switch_ids();
   auto per_switch = par::parallel_map(
       switches.size(),
       [&](std::size_t idx) {
-        return switch_relation_dependencies(fabric, relation, ci,
+        return switch_relation_dependencies(fabric, tables, ci,
                                             switches[idx]);
       },
       par::ForOptions{.threads = 0, .grain = 1, .label = label});

@@ -15,7 +15,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <string>
 #include <vector>
@@ -75,21 +74,16 @@ struct DependencyOptions {
     const topo::Fabric& fabric, const route::ForwardingTables& tables,
     const ChannelIndex& ci, std::uint64_t dest);
 
-/// A routing *relation*: fill `out` with every out-port index (on the given
-/// switch) a packet for the destination may take. Must be deterministic and
-/// callable concurrently (the builder fans out over ftcf::par).
-using RoutingRelation = std::function<void(
-    topo::NodeId, std::uint64_t, std::vector<std::uint32_t>&)>;
-
-/// build_dependencies generalized from a forwarding function to a relation:
-/// a dependency A -> B exists when *some* candidate out-channel A of a
-/// (switch, dest) pair reaches a switch where B is *some* candidate for the
-/// same destination. Packed/sorted like build_dependencies and equally
-/// thread-count independent. The Dally–Seitz criterion over this union graph
-/// proves deadlock freedom for every routing function — and every per-packet
-/// dynamic choice — the relation admits.
+/// build_dependencies generalized from a forwarding function to the
+/// adaptive routing relation (route::adaptive_candidates): a dependency
+/// A -> B exists when *some* candidate out-channel A of a (switch, dest)
+/// pair reaches a switch where B is *some* candidate for the same
+/// destination. Packed/sorted like build_dependencies and equally
+/// thread-count independent. The Dally–Seitz criterion over this union
+/// graph proves deadlock freedom for every routing function — and every
+/// per-packet dynamic choice — the relation admits.
 [[nodiscard]] std::vector<std::uint64_t> build_relation_dependencies(
-    const topo::Fabric& fabric, const RoutingRelation& relation,
+    const topo::Fabric& fabric, const route::ForwardingTables& tables,
     const ChannelIndex& ci, const char* label = "check.deps.relation");
 
 /// Compressed adjacency over dense channel ids; successor lists ascending.

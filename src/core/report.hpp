@@ -13,9 +13,7 @@ namespace ftcf::core {
 
 struct ReportOptions {
   bool check_theorems = true;   ///< run the (exhaustive) theorem checkers
-  bool audit_cps = true;        ///< HSD of every CPS under the plan
   std::uint32_t random_trials = 3;  ///< random-order baseline trials
-  std::uint64_t seed = 1;
 };
 
 /// Render the full report for a fabric under D-Mod-K + topology ordering.

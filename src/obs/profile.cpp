@@ -1,14 +1,11 @@
 #include "obs/profile.hpp"
 
 #include <algorithm>
-#include <array>
 #include <map>
 #include <ostream>
 #include <vector>
 
-#include "obs/metrics.hpp"
 #include "util/mutex.hpp"
-#include "util/stats.hpp"
 #include "util/table.hpp"
 #include "util/thread_annotations.hpp"
 #include "util/thread_pool.hpp"
@@ -74,37 +71,19 @@ void Profiler::reset() {
 
 namespace {
 
-// Registry for the par-timing sink. The sink runs on whichever thread
-// issued the (top-level) parallel loop; installation itself is expected
-// from the single-threaded driver before the sweeps start.
-MetricsRegistry* g_par_registry = nullptr;
-
 void par_timing_sink(const char* label, const double* task_seconds,
                      std::size_t num_tasks) {
-  if (num_tasks == 0) return;
   const std::string entry = std::string("par.") + label;
   Profiler& profiler = Profiler::instance();
   for (std::size_t t = 0; t < num_tasks; ++t) {
     profiler.add(entry.c_str(), static_cast<std::uint64_t>(
                                     task_seconds[t] * 1e9));
   }
-  if (g_par_registry == nullptr) return;
-  std::vector<double> sample(task_seconds, task_seconds + num_tasks);
-  static constexpr std::array<double, 3> kQs = {0.5, 0.95, 0.99};
-  const std::vector<double> ps = util::percentiles(std::move(sample), kQs);
-  g_par_registry->gauge(entry + ".tasks")
-      .set(static_cast<double>(num_tasks));
-  g_par_registry->gauge(entry + ".p50_ms").set(ps[0] * 1e3);
-  g_par_registry->gauge(entry + ".p95_ms").set(ps[1] * 1e3);
-  g_par_registry->gauge(entry + ".p99_ms").set(ps[2] * 1e3);
 }
 
 }  // namespace
 
-void enable_par_timing(MetricsRegistry* registry) {
-  g_par_registry = registry;
-  par::set_timing_sink(&par_timing_sink);
-}
+void enable_par_timing() { par::set_timing_sink(&par_timing_sink); }
 
 void Profiler::report(std::ostream& os) const {
   const std::vector<Entry> rows = entries();

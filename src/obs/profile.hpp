@@ -83,17 +83,11 @@ class ProfScope {
   std::chrono::steady_clock::time_point start_{};
 };
 
-class MetricsRegistry;  // metrics.hpp
-
 /// Route ftcf::par per-task timings into the observability layer: installs
 /// a par::TimingSink that folds every task of a labelled parallel sweep
-/// into the Profiler (entry "par.<label>") and, when `registry` is
-/// non-null, records per-sweep gauges "par.<label>.tasks" and
-/// ".p50_ms/.p95_ms/.p99_ms" (one sort per sweep via util::percentiles).
-/// Timing never feeds back into scheduling, so results stay deterministic;
-/// keep timing gauges out of registries whose JSON export must be
-/// byte-stable across runs.
-void enable_par_timing(MetricsRegistry* registry = nullptr);
+/// into the Profiler (entry "par.<label>"). Timing never feeds back into
+/// scheduling, so results stay deterministic.
+void enable_par_timing();
 
 }  // namespace ftcf::obs
 

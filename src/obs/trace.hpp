@@ -110,6 +110,10 @@ class TraceRecorder {
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
   [[nodiscard]] std::uint64_t dropped() const noexcept { return dropped_; }
 
+  /// Count `n` events lost before they reached this recorder (a full
+  /// per-partition shard, say) as dropped here.
+  void add_dropped(std::uint64_t n) noexcept { dropped_ += n; }
+
  private:
   std::size_t capacity_;
   std::uint64_t dropped_ = 0;
@@ -123,9 +127,8 @@ class TraceRecorder {
 /// the merged stream is a pure function of the work, not the schedule.
 class ShardedTraceRecorder {
  public:
-  explicit ShardedTraceRecorder(
-      std::size_t num_shards,
-      std::size_t capacity_per_shard = TraceRecorder::kDefaultCapacity);
+  ShardedTraceRecorder(std::size_t num_shards,
+                       std::size_t capacity_per_shard);
 
   [[nodiscard]] TraceRecorder& shard(std::size_t i) { return shards_[i]; }
   [[nodiscard]] std::size_t total_size() const noexcept;

@@ -7,31 +7,25 @@ namespace ftcf::route {
 using topo::Fabric;
 using topo::NodeId;
 
-std::uint32_t adaptive_candidates(const Fabric& fabric,
-                                  const ForwardingTables& tables, NodeId sw,
-                                  std::uint64_t dest,
-                                  std::vector<std::uint32_t>& out) {
-  out.clear();
+PortRange adaptive_candidates(const Fabric& fabric,
+                              const ForwardingTables& tables, NodeId sw,
+                              std::uint64_t dest) {
   if (fabric.is_ancestor_of_host(sw, dest)) {
-    if (tables.has_entry(sw, dest)) out.push_back(tables.out_port(sw, dest));
-  } else {
-    const topo::Node& node = fabric.node(sw);
-    out.reserve(node.num_up_ports);
-    for (std::uint32_t q = 0; q < node.num_up_ports; ++q)
-      out.push_back(node.num_down_ports + q);
+    if (!tables.has_entry(sw, dest)) return {};
+    return {tables.out_port(sw, dest), 1};
   }
-  return static_cast<std::uint32_t>(out.size());
+  const topo::Node& node = fabric.node(sw);
+  return {node.num_down_ports, node.num_up_ports};
 }
 
 AdaptiveRelationStats adaptive_relation_stats(const Fabric& fabric,
                                               const ForwardingTables& tables) {
   AdaptiveRelationStats stats;
-  std::vector<std::uint32_t> candidates;
   const std::uint64_t n = fabric.num_hosts();
   for (const NodeId sw : fabric.switch_ids()) {
     for (std::uint64_t d = 0; d < n; ++d) {
       const std::uint32_t fanout =
-          adaptive_candidates(fabric, tables, sw, d, candidates);
+          adaptive_candidates(fabric, tables, sw, d).count;
       if (fanout == 0) continue;
       ++stats.pairs;
       stats.candidates += fanout;

@@ -5,30 +5,42 @@
 // the LFT entry decides the out-port — but lets the ascent pick *any* up
 // port. Deadlock analysis of that mode therefore cannot look at one
 // forwarding function: it must consider the whole relation of out-ports a
-// packet may legally take at each (switch, destination). This header exposes
-// exactly that relation, with semantics mirroring the engine
-// (sim/engine_core.cpp) so the static proof covers what the simulator does:
+// packet may legally take at each (switch, destination). This header is that
+// relation, and both the engine (sim/engine_core.cpp) and the adaptive CDG
+// prover (check::analyze_adaptive_cdg) call it, so the static proof covers
+// what the simulator does by construction:
 //   * ancestor of the destination: the single LFT entry (whatever it is —
 //     degraded or hand-edited tables may point anywhere);
-//   * not an ancestor: every up port, regardless of the tables;
+//   * not an ancestor: every up port, regardless of the tables (an
+//     unprogrammed entry does not stop an ascent);
 //   * ancestor with no programmed entry: no candidates (the engine drops or
 //     parks such heads; they forward nowhere).
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "routing/lft.hpp"
 
 namespace ftcf::route {
 
-/// Append the out-port indices (on `sw`) a packet for host `dest` may leave
-/// through under adaptive minimal routing. `out` is cleared first; candidates
-/// are ascending. Returns the number of candidates.
-std::uint32_t adaptive_candidates(const topo::Fabric& fabric,
-                                  const ForwardingTables& tables,
-                                  topo::NodeId sw, std::uint64_t dest,
-                                  std::vector<std::uint32_t>& out);
+/// The out-port indices [first, first + count) on one switch. Every
+/// candidate set of the adaptive relation is one such contiguous range: the
+/// single LFT entry, every up port, or nothing.
+struct PortRange {
+  std::uint32_t first = 0;
+  std::uint32_t count = 0;
+
+  [[nodiscard]] constexpr bool contains(std::uint32_t port) const noexcept {
+    return port - first < count;  // unsigned wrap rejects port < first
+  }
+};
+
+/// The out-ports (on `sw`) a packet for host `dest` may leave through under
+/// adaptive minimal routing. Allocation-free; safe to call concurrently.
+[[nodiscard]] PortRange adaptive_candidates(const topo::Fabric& fabric,
+                                            const ForwardingTables& tables,
+                                            topo::NodeId sw,
+                                            std::uint64_t dest);
 
 /// Aggregate size of the relation — how much wider it is than a function.
 struct AdaptiveRelationStats {

@@ -14,8 +14,8 @@
 //     the partition owning the *source* host: a delivery at the destination
 //     forwards a kDeliverAcct event — one cable delay later — back to the
 //     source partition, which arbitrates duplicate claims and completes the
-//     message. The serial engine uses the same accounting delay, so both
-//     engines realize the same schedule.
+//     message. A serial run uses the same accounting delay, so serial and
+//     partitioned runs realize the same schedule.
 //   * Conservative lookahead. Every cross-partition event is scheduled at
 //     least cable_latency_ns ahead, so each window may process all events
 //     strictly before (global min next-event time + cable_latency_ns).
@@ -35,6 +35,7 @@
 
 #include "obs/profile.hpp"
 #include "obs/trace.hpp"
+#include "routing/adaptive.hpp"
 #include "sim/keyed_queue.hpp"
 #include "util/expects.hpp"
 #include "util/rng.hpp"
@@ -286,12 +287,17 @@ class Core {
       expects(lookahead_ >= 1,
               "partitioned simulation requires cable_latency_ns >= 1 (the "
               "conservative lookahead)");
-      shards_ = std::make_unique<obs::ShardedTraceRecorder>(num_parts_);
+      // Each shard can hold the caller's whole capacity: the merge keeps
+      // the caller's keep-first-N policy exact (an event among the first N
+      // of the run is among the first N of its own shard).
+      if (cfg_.obs.trace != nullptr)
+        shards_ = std::make_unique<obs::ShardedTraceRecorder>(
+            num_parts_, cfg_.obs.trace->capacity());
     }
     init_lps();
   }
 
-  RunResult run(std::uint64_t event_limit, PdesStats* stats) {
+  RunResult run(std::uint64_t event_limit, PdesStats& stats) {
     FTCF_PROF_SCOPE("packet_sim_run");
     load_initial_traffic();
     for (auto& lp : lps_) schedule_flaps(*lp);
@@ -557,7 +563,7 @@ class Core {
   /// Start (or resume) the LP's own hosts, applying per-host stage jitter
   /// when configured (§VII: OS jitter delays entry into each collective
   /// stage). Hosts are independent at kick time, so per-partition kicking
-  /// in ascending host order matches the serial engine.
+  /// in ascending host order matches a serial run.
   void kick_hosts(Lp& lp, SimTime at) {
     for (const std::uint64_t h : map_.hosts_of[lp.self]) {
       if (cfg_.jitter_max_ns <= 0) {
@@ -609,16 +615,17 @@ class Core {
   /// Arbitration entry for the head of one input queue: try every output
   /// the head may leave through. Every packet passes through here exactly
   /// when it becomes a head, so this is also where resilient runs drop
-  /// packets that can never leave — no LFT entry, or a dead out-port with
-  /// no scheduled revival — instead of wedging the queue behind them. Heads
-  /// parked on a dead-but-revivable port simply wait; the kLinkUp event
-  /// re-arbitrates.
+  /// packets that can never leave — no legal out-port, or every legal
+  /// out-port dead with no scheduled revival — instead of wedging the queue
+  /// behind them. Heads parked on a dead-but-revivable port simply wait; the
+  /// kLinkUp event re-arbitrates. Deterministic heads follow the LFT entry;
+  /// adaptive heads take any port of route::adaptive_candidates, the same
+  /// relation the adaptive CDG prover checks.
   void kick_head(Lp& lp, topo::NodeId sw, PortId in_port) {
     auto& queue = lp.queues[in_port];
     while (!queue.empty()) {
       const Packet pkt = queue.front();
-      if (cfg_.up_selection == UpSelection::kDeterministic ||
-          fabric_.is_ancestor_of_host(sw, pkt.dst)) {
+      if (cfg_.up_selection == UpSelection::kDeterministic) {
         if (resilient_ && !tables_.has_entry(sw, pkt.dst)) {
           drop_head(lp, in_port, in_port);
           continue;
@@ -634,21 +641,23 @@ class Core {
         try_forward(lp, out);
         return;
       }
-      // Adaptive ascent: any live up-port may take the packet.
-      const topo::Node& node = fabric_.node(sw);
+      const route::PortRange cand =
+          route::adaptive_candidates(fabric_, tables_, sw, pkt.dst);
       bool any_alive = false;
       bool revivable = false;
-      for (std::uint32_t q = 0; q < node.num_up_ports; ++q) {
-        const PortId up = fabric_.port_id(sw, node.num_down_ports + q);
-        if (resilient_ && lp.dead[up] != 0) {
-          if (lp.revives_at[up] != kNever) revivable = true;
+      for (std::uint32_t i = cand.first; i < cand.first + cand.count; ++i) {
+        const PortId out = fabric_.port_id(sw, i);
+        if (resilient_ && lp.dead[out] != 0) {
+          if (lp.revives_at[out] != kNever) revivable = true;
           continue;
         }
         any_alive = true;
-        try_forward(lp, up);
+        try_forward(lp, out);
       }
       if (resilient_ && !any_alive && !revivable) {
-        drop_head(lp, in_port, in_port);
+        // A lone candidate is the culprit; a dead fan-out has none.
+        drop_head(lp, in_port,
+                  cand.count == 1 ? fabric_.port_id(sw, cand.first) : in_port);
         continue;
       }
       return;
@@ -776,7 +785,7 @@ class Core {
       const PortId in_port = fabric_.port_id(sw, i);
       auto& queue = lp.queues[in_port];
       if (queue.empty()) continue;
-      if (!may_leave_through(lp, sw, queue.front(), out_port)) continue;
+      if (!may_leave_through(sw, queue.front(), out_port)) continue;
 
       const Packet pkt = queue.front();
       queue.pop_front();
@@ -809,19 +818,15 @@ class Core {
     }
   }
 
-  /// Is `out_port` a legal egress for this packet at switch `sw`?
-  [[nodiscard]] bool may_leave_through(const Lp& lp, topo::NodeId sw,
-                                       const Packet& pkt,
+  /// Is `out_port` (a port of switch `sw`) a legal egress for this packet?
+  [[nodiscard]] bool may_leave_through(topo::NodeId sw, const Packet& pkt,
                                        PortId out_port) const {
-    (void)lp;
-    if (resilient_ && !tables_.has_entry(sw, pkt.dst)) return false;
-    if (cfg_.up_selection == UpSelection::kDeterministic)
+    if (cfg_.up_selection == UpSelection::kDeterministic) {
+      if (resilient_ && !tables_.has_entry(sw, pkt.dst)) return false;
       return route_port(sw, pkt.dst) == out_port;
-    if (fabric_.is_ancestor_of_host(sw, pkt.dst))
-      return route_port(sw, pkt.dst) == out_port;  // down stays deterministic
-    const topo::Port& out = fabric_.port(out_port);
-    return out.node == sw &&
-           out.index >= fabric_.node(sw).num_down_ports;  // any up port
+    }
+    return route::adaptive_candidates(fabric_, tables_, sw, pkt.dst)
+        .contains(fabric_.port(out_port).index);
   }
 
   // --- hosts ----------------------------------------------------------------
@@ -992,7 +997,7 @@ class Core {
   /// A packet reached its destination host. The wire-level part ends here;
   /// accounting (duplicate arbitration, completion, latency) belongs to the
   /// *source* partition and travels there as a kDeliverAcct event one cable
-  /// delay later — the same delay in the serial engine, so both realize
+  /// delay later — the same delay in a serial run, so both realize
   /// identical schedules.
   void deliver(Lp& lp, topo::NodeId host, const Packet& pkt) {
     expects(fabric_.host_index(host) == pkt.dst, "packet at wrong host");
@@ -1278,7 +1283,7 @@ class Core {
 
   // --- result assembly ------------------------------------------------------
 
-  RunResult assemble(PdesStats* stats) {
+  RunResult assemble(PdesStats& stats) {
     RunResult result;
     LatencyMoments latency;
     std::uint64_t credit_stalls = 0;
@@ -1323,22 +1328,23 @@ class Core {
     merge_traces();
     if (cfg_.obs.metrics != nullptr)
       export_run_metrics(result, credit_stalls, vl_busy);
-    if (stats != nullptr) {
-      stats->partitions = num_parts_;
-      stats->windows = windows_;
-      stats->events = result.events;
-      stats->channel_events = channel_total_;
-    }
+    stats.partitions = num_parts_;
+    stats.windows = windows_;
+    stats.events = result.events;
+    stats.channel_events = channel_total_;
     return result;
   }
 
   /// Partitioned runs record into per-LP shards; merge them into the user's
   /// recorder by content order (timestamp, shard, seq) — deterministic for
-  /// a fixed partition count at any thread count.
+  /// a fixed partition count at any thread count. Events a full shard
+  /// dropped count as dropped by the user's recorder too.
   void merge_traces() {
-    if (num_parts_ == 1 || cfg_.obs.trace == nullptr) return;
+    if (shards_ == nullptr) return;
     for (const obs::TraceEvent& ev : shards_->merged())
       cfg_.obs.trace->record(ev);
+    for (std::uint32_t p = 0; p < num_parts_; ++p)
+      cfg_.obs.trace->add_dropped(shards_->shard(p).dropped());
   }
 
   void export_run_metrics(const RunResult& result, std::uint64_t credit_stalls,
@@ -1426,7 +1432,7 @@ PortBuffer engine_port_buffer(const Fabric& fabric, const Calibration& calib,
 RunResult run_core(const EngineConfig& cfg, const PartitionMap& map,
                    const std::vector<StageTraffic>& stages,
                    Progression progression, std::uint64_t event_limit,
-                   PdesStats* stats) {
+                   PdesStats& stats) {
   Core core(cfg, map, stages, progression);
   return core.run(event_limit, stats);
 }

@@ -1,60 +1,36 @@
-// Internal entry point of the shared packet-simulation engine core.
+// Internal entry point of the packet-simulation engine core.
 //
-// PacketSim (serial) and ParallelPacketSim (PDES) are thin configuration
-// shells over one engine: run_core executes the simulation over a
-// PartitionMap — one logical process per partition, conservatively
-// synchronized windows with the cut-through cable delay as lookahead. A
-// single-partition map degenerates to the classic serial event loop. Having
-// exactly one implementation is what makes "PDES ≡ serial" a structural
-// property rather than a maintenance promise; the `pdes` differential tests
-// pin it from the outside.
+// PacketSim is a thin configuration shell over one engine: run_core executes
+// the simulation over a PartitionMap — one logical process per partition,
+// conservatively synchronized windows with the cut-through cable delay as
+// lookahead. A single-partition map degenerates to the classic serial event
+// loop. Having exactly one implementation is what makes "partitioned ≡
+// serial" a structural property rather than a maintenance promise; the
+// `pdes` differential tests pin it from the outside.
 //
-// This header is internal to ftcf::sim — tools and tests use packet_sim.hpp
-// / pdes.hpp.
+// This header is internal to ftcf::sim — tools and tests use packet_sim.hpp.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "fault/degraded.hpp"
-#include "obs/sim_hooks.hpp"
-#include "routing/lft.hpp"
-#include "sim/ib_calibration.hpp"
-#include "sim/metrics.hpp"
 #include "sim/packet_sim.hpp"
 #include "sim/partition.hpp"
-#include "sim/pdes.hpp"
-#include "sim/traffic.hpp"
 
 namespace ftcf::sim::detail {
 
-/// Everything both engine shells configure, in one bag.
-struct EngineConfig {
-  const topo::Fabric* fabric = nullptr;
-  const route::ForwardingTables* tables = nullptr;
-  Calibration calib;
-  UpSelection up_selection = UpSelection::kDeterministic;
-  SimTime jitter_max_ns = 0;
-  std::uint64_t jitter_seed = 1;
-  obs::SimObserver obs;
-  const fault::FaultState* faults = nullptr;
-  Resilience resilience;
-  bool resilience_forced = false;
-};
-
-/// The per-port credit grant / rate both engines initialize from and
+/// The per-port credit grant / rate the engine initializes from and
 /// buffer_topology() exposes to the static credit-loop prover.
 [[nodiscard]] PortBuffer engine_port_buffer(const topo::Fabric& fabric,
                                             const Calibration& calib,
                                             topo::PortId pid);
 
 /// Run the simulation over `map` (1 partition = serial loop, >1 = windowed
-/// conservative PDES). `stats`, when non-null, receives window/channel
-/// counts.
+/// conservative PDES). `stats` receives the window/channel counts.
 [[nodiscard]] RunResult run_core(const EngineConfig& cfg,
                                  const PartitionMap& map,
                                  const std::vector<StageTraffic>& stages,
                                  Progression progression,
-                                 std::uint64_t event_limit, PdesStats* stats);
+                                 std::uint64_t event_limit, PdesStats& stats);
 
 }  // namespace ftcf::sim::detail

@@ -1,8 +1,10 @@
-// PacketSim: the serial shell over the shared engine core. A run is
-// run_core over the trivial single-partition map, which degenerates to the
-// classic serial event loop — this is the differential oracle the `pdes`
-// tests pin ParallelPacketSim against.
+// PacketSim: the configuration shell over the shared engine core. A run is
+// run_core over partition_fabric(P); P = 1 degenerates to the classic serial
+// event loop, the differential oracle the `pdes` tests pin every partitioned
+// run against.
 #include "sim/packet_sim.hpp"
+
+#include <algorithm>
 
 #include "sim/engine_core.hpp"
 #include "sim/partition.hpp"
@@ -11,32 +13,25 @@ namespace ftcf::sim {
 
 PacketSim::PacketSim(const topo::Fabric& fabric,
                      const route::ForwardingTables& tables,
-                     Calibration calibration)
-    : fabric_(&fabric), tables_(&tables), calib_(calibration) {}
+                     Calibration calibration) {
+  cfg_.fabric = &fabric;
+  cfg_.tables = &tables;
+  cfg_.calib = calibration;
+}
 
 std::vector<PortBuffer> PacketSim::buffer_topology() const {
   std::vector<PortBuffer> out;
-  out.reserve(fabric_->num_ports());
-  for (topo::PortId pid = 0; pid < fabric_->num_ports(); ++pid)
-    out.push_back(detail::engine_port_buffer(*fabric_, calib_, pid));
+  out.reserve(cfg_.fabric->num_ports());
+  for (topo::PortId pid = 0; pid < cfg_.fabric->num_ports(); ++pid)
+    out.push_back(detail::engine_port_buffer(*cfg_.fabric, cfg_.calib, pid));
   return out;
 }
 
 RunResult PacketSim::run(const std::vector<StageTraffic>& stages,
                          Progression progression, std::uint64_t event_limit) {
-  detail::EngineConfig cfg;
-  cfg.fabric = fabric_;
-  cfg.tables = tables_;
-  cfg.calib = calib_;
-  cfg.up_selection = up_selection_;
-  cfg.jitter_max_ns = jitter_max_ns_;
-  cfg.jitter_seed = jitter_seed_;
-  cfg.obs = obs_;
-  cfg.faults = faults_;
-  cfg.resilience = resilience_;
-  cfg.resilience_forced = resilience_forced_;
-  const PartitionMap map = partition_fabric(*fabric_, 1);
-  return detail::run_core(cfg, map, stages, progression, event_limit, nullptr);
+  const PartitionMap map =
+      partition_fabric(*cfg_.fabric, std::max(partitions_, 1u));
+  return detail::run_core(cfg_, map, stages, progression, event_limit, stats_);
 }
 
 }  // namespace ftcf::sim

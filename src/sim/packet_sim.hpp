@@ -12,12 +12,37 @@
 //     (switch + cable) added per packet, pipelined at packet granularity;
 //   * links run at QDR rate, host-adjacent links at the PCIe rate.
 //
+// One engine, optionally partitioned (set_partitions): a conservative
+// parallel discrete-event simulation (PDES). The fabric is split into
+// per-LP regions (leaf subtrees plus round-robin spine groups — see
+// partition.hpp); each logical process owns a private canonically-ordered
+// event queue, and cross-partition link events travel through per-pair
+// outbox channels exchanged at window barriers. Synchronization is
+// Lubachevsky-style bounded windows: every cross-partition event (a packet
+// crossing a cable, a credit returning upstream, delivery accounting flowing
+// back to the source) is scheduled at least one cut-through cable delay in
+// the future, so
+//
+//   horizon = min(next event time over all partitions) + cable_latency_ns
+//
+// is a safe lookahead bound — no LP can receive an event earlier than the
+// horizon, so every LP may process its queue up to (but excluding) the
+// horizon without ever rolling back. Synchronized-mode stage barriers ride
+// the same bound: the stage-advance event is scheduled one cable delay
+// after the globally last message completion. One partition degenerates to
+// the classic serial event loop.
+//
 // Determinism: same-time events order by a canonical content key (time,
-// event type, port, message, packet seq) rather than by push order, so the
-// serial engine and the partitioned PDES engine (pdes.hpp) realize the same
-// schedule; no randomness inside the simulator — workloads carry all the
-// randomness. PacketSim is the single-partition differential oracle for
-// ParallelPacketSim.
+// event type, port, message, packet seq) rather than by push order, and
+// there is no randomness inside the simulator — workloads carry all of it.
+// For the same workload and seed:
+//   * RunResult is byte-identical for every partition count and at any
+//     --threads — the serial run is the differential oracle of the
+//     partitioned one (pinned by the `pdes` ctest label);
+//   * metrics JSON, traces and heatmaps are byte-identical at any --threads
+//     for a fixed partition count. Trace *order* and link-sample boundaries
+//     may differ between partition counts; per-partition trace shards merge
+//     by content (timestamp, shard, seq) — see docs/OBSERVABILITY.md.
 #pragma once
 
 #include <algorithm>
@@ -75,7 +100,7 @@ inline constexpr SimTime kRetxBackoffCeilingNs = SimTime{1} << 40;
 /// base << (attempt - 1) — but saturates at kRetxBackoffCeilingNs instead
 /// of shifting into overflow: the naive `timeout_ns << attempts` is UB for
 /// large timeouts or attempt counts (a 2^43 ns timeout overflows SimTime on
-/// the second attempt). Shared by the serial and partitioned engines.
+/// the second attempt).
 [[nodiscard]] constexpr SimTime retx_backoff_ns(SimTime base_timeout_ns,
                                                 std::uint32_t attempt) noexcept {
   const std::uint32_t shift = attempt > 1 ? std::min(attempt - 1, 40u) : 0u;
@@ -84,27 +109,65 @@ inline constexpr SimTime kRetxBackoffCeilingNs = SimTime{1} << 40;
   return base_timeout_ns << shift;
 }
 
+/// Execution statistics of the last PacketSim::run (deterministic: pure
+/// functions of the workload and partition count, no wall-clock).
+struct PdesStats {
+  std::uint32_t partitions = 1;
+  std::uint64_t windows = 0;  ///< conservative synchronization windows
+  std::uint64_t events = 0;   ///< core events processed (== RunResult::events)
+  std::uint64_t channel_events = 0;  ///< cross-partition link events exchanged
+};
+
+namespace detail {
+
+/// Everything a PacketSim configures, in the one bag it hands the engine.
+struct EngineConfig {
+  const topo::Fabric* fabric = nullptr;
+  const route::ForwardingTables* tables = nullptr;
+  Calibration calib;
+  UpSelection up_selection = UpSelection::kDeterministic;
+  SimTime jitter_max_ns = 0;
+  std::uint64_t jitter_seed = 1;
+  obs::SimObserver obs;
+  const fault::FaultState* faults = nullptr;
+  Resilience resilience;
+  bool resilience_forced = false;
+};
+
+}  // namespace detail
+
 class PacketSim {
  public:
   PacketSim(const topo::Fabric& fabric, const route::ForwardingTables& tables,
             Calibration calibration = Calibration::qdr_pcie_gen2());
 
-  void set_up_selection(UpSelection mode) noexcept { up_selection_ = mode; }
+  /// Number of fabric partitions (logical processes). 0 and 1 both select
+  /// the serial event loop (the default); larger values are clamped to the
+  /// number of leaf switches (see partition_fabric). Partition windows fan
+  /// out over ftcf::par (the --threads pool). Partitioned runs require
+  /// calib.cable_latency_ns >= 1 — the conservative lookahead.
+  void set_partitions(std::uint32_t partitions) noexcept {
+    partitions_ = partitions;
+  }
+
+  void set_up_selection(UpSelection mode) noexcept {
+    cfg_.up_selection = mode;
+  }
 
   /// Attach the observability layer (trace recorder / metrics registry /
   /// sampling period) to subsequent run() calls. Default: fully disabled.
   /// Observation never changes simulation behavior — event schedules and
   /// RunResults are identical with and without an observer.
   void set_observer(const obs::SimObserver& observer) noexcept {
-    obs_ = observer;
+    cfg_.obs = observer;
   }
 
   /// Synchronized-mode OS jitter (§VII discussion): each host's entry into
   /// each stage is delayed by an independent uniform [0, max_ns] draw.
   /// Zero (default) disables it.
   void set_stage_jitter(SimTime max_ns, std::uint64_t seed) noexcept {
-    jitter_max_ns_ = max_ns;
-    jitter_seed_ = seed;
+    cfg_.jitter_max_ns = max_ns;
+    cfg_.jitter_seed = seed;
   }
 
   /// Attach a resolved fault state (must outlive the sim and be resolved
@@ -113,7 +176,7 @@ class PacketSim {
   /// non-pristine state switches the resilient machinery on automatically.
   /// Pass nullptr to detach.
   void set_fault_state(const fault::FaultState* state) noexcept {
-    faults_ = state;
+    cfg_.faults = state;
   }
 
   /// Override the retry policy and force the resilient path on even on a
@@ -121,8 +184,8 @@ class PacketSim {
   /// state) the simulator runs its classic path, byte-identical to builds
   /// without the fault layer.
   void set_resilience(const Resilience& policy) noexcept {
-    resilience_ = policy;
-    resilience_forced_ = true;
+    cfg_.resilience = policy;
+    cfg_.resilience_forced = true;
   }
 
   /// The port-buffer topology the credit flow control runs over, indexed by
@@ -134,24 +197,21 @@ class PacketSim {
   [[nodiscard]] std::vector<PortBuffer> buffer_topology() const;
 
   /// Simulate the workload to completion and report aggregate metrics.
-  /// `event_limit` guards against runaway configurations. With faults the
-  /// run still always terminates: every packet either delivers or times out,
-  /// and every message completes as delivered or failed.
+  /// `event_limit` guards against runaway configurations (enforced at window
+  /// granularity in partitioned runs). With faults the run still always
+  /// terminates: every packet either delivers or times out, and every
+  /// message completes as delivered or failed.
   [[nodiscard]] RunResult run(const std::vector<StageTraffic>& stages,
                               Progression progression,
                               std::uint64_t event_limit = 2'000'000'000ULL);
 
+  /// Stats of the most recent run().
+  [[nodiscard]] const PdesStats& last_stats() const noexcept { return stats_; }
+
  private:
-  const topo::Fabric* fabric_;
-  const route::ForwardingTables* tables_;
-  Calibration calib_;
-  UpSelection up_selection_ = UpSelection::kDeterministic;
-  SimTime jitter_max_ns_ = 0;
-  std::uint64_t jitter_seed_ = 1;
-  obs::SimObserver obs_;
-  const fault::FaultState* faults_ = nullptr;
-  Resilience resilience_;
-  bool resilience_forced_ = false;
+  detail::EngineConfig cfg_;
+  std::uint32_t partitions_ = 1;
+  PdesStats stats_;
 };
 
 }  // namespace ftcf::sim

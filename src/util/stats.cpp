@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "util/expects.hpp"
-
 namespace ftcf::util {
 
 void Accumulator::merge(const Accumulator& other) noexcept {
@@ -22,25 +20,6 @@ void Accumulator::merge(const Accumulator& other) noexcept {
   count_ += other.count_;
   min_ = std::min(min_, other.min_);
   max_ = std::max(max_, other.max_);
-}
-
-std::vector<double> percentiles(std::vector<double> sample,
-                                std::span<const double> qs) {
-  expects(!sample.empty(), "percentile of empty sample");
-  std::sort(sample.begin(), sample.end());
-  std::vector<double> out;
-  out.reserve(qs.size());
-  for (const double q : qs) {
-    expects(q >= 0.0 && q <= 1.0, "percentile rank must be in [0,1]");
-    // Closest-ranks interpolation.
-    const double pos = q * static_cast<double>(sample.size() - 1);
-    const auto lo = static_cast<std::size_t>(pos);
-    const double frac = pos - static_cast<double>(lo);
-    out.push_back(lo + 1 >= sample.size()
-                      ? sample.back()
-                      : sample[lo] * (1.0 - frac) + sample[lo + 1] * frac);
-  }
-  return out;
 }
 
 }  // namespace ftcf::util

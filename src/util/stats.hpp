@@ -4,8 +4,6 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <span>
-#include <vector>
 
 namespace ftcf::util {
 
@@ -69,11 +67,5 @@ class Accumulator {
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
 };
-
-/// Exact percentiles of one sample with a single sort (linear interpolation
-/// between closest ranks): qs[i] in [0, 1], result[i] is the qs[i]-quantile.
-/// The sample is copied and sorted; fine for experiment sizes.
-[[nodiscard]] std::vector<double> percentiles(std::vector<double> sample,
-                                              std::span<const double> qs);
 
 }  // namespace ftcf::util

@@ -1,5 +1,5 @@
-// Adaptive-closure CDG prover: the routing relation mirrors the simulator's
-// adaptive mode, pristine D-Mod-K fabrics stay deadlock-free under any
+// Adaptive-closure CDG prover: the routing relation the simulator's adaptive
+// mode runs, pristine D-Mod-K fabrics stay deadlock-free under any
 // up-port policy, and a single corrupted descent entry opens a cycle that
 // only the adaptive closure can see — the deterministic CDG stays acyclic.
 #include "check/cdg.hpp"
@@ -42,31 +42,30 @@ std::uint32_t port_to(const Fabric& fabric, NodeId from, NodeId to) {
 TEST(AdaptiveCdg, RelationMirrorsTheSimulatorSemantics) {
   const Fabric fabric(topo::fig4b_pgft16());
   const auto tables = route::DModKRouter{}.compute(fabric);
-  std::vector<std::uint32_t> candidates;
 
   const NodeId leaf0 = leaf_of(fabric, 0);
   const std::uint32_t down = fabric.node(leaf0).num_down_ports;
   const std::uint32_t up = fabric.node(leaf0).num_up_ports;
 
   // Ancestor of the destination: exactly the LFT entry.
-  ASSERT_EQ(route::adaptive_candidates(fabric, tables, leaf0, 0, candidates),
-            1u);
-  EXPECT_EQ(candidates.front(), tables.out_port(leaf0, 0));
-  EXPECT_LT(candidates.front(), down) << "descent must use a down port";
+  const route::PortRange own =
+      route::adaptive_candidates(fabric, tables, leaf0, 0);
+  ASSERT_EQ(own.count, 1u);
+  EXPECT_EQ(own.first, tables.out_port(leaf0, 0));
+  EXPECT_LT(own.first, down) << "descent must use a down port";
 
   // Not an ancestor: every up port, whatever the tables say.
   const std::uint64_t remote = fabric.num_hosts() - 1;
   ASSERT_FALSE(fabric.is_ancestor_of_host(leaf0, remote));
-  ASSERT_EQ(
-      route::adaptive_candidates(fabric, tables, leaf0, remote, candidates),
-      up);
-  for (std::uint32_t q = 0; q < up; ++q) EXPECT_EQ(candidates[q], down + q);
+  const route::PortRange ascent =
+      route::adaptive_candidates(fabric, tables, leaf0, remote);
+  EXPECT_EQ(ascent.first, down);
+  EXPECT_EQ(ascent.count, up);
 
   // Ancestor with no programmed entry: no candidates.
   ForwardingTables holed = tables;
   holed.clear_entry(leaf0, 0);
-  EXPECT_EQ(route::adaptive_candidates(fabric, holed, leaf0, 0, candidates),
-            0u);
+  EXPECT_EQ(route::adaptive_candidates(fabric, holed, leaf0, 0).count, 0u);
 
   const route::AdaptiveRelationStats stats =
       route::adaptive_relation_stats(fabric, tables);

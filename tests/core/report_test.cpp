@@ -31,19 +31,14 @@ TEST(Report, SectionsCanBeDisabled) {
   const topo::Fabric fabric(topo::fig4b_pgft16());
   ReportOptions options;
   options.check_theorems = false;
-  options.audit_cps = false;
   const std::string text = report_text(fabric, options);
   EXPECT_EQ(text.find("Theorem"), std::string::npos);
-  EXPECT_EQ(text.find("| CPS"), std::string::npos);
   EXPECT_NE(text.find("structure: ok"), std::string::npos);
 }
 
 TEST(Report, FlagsArityOnRlfts) {
   const topo::Fabric fabric(topo::paper_cluster(128));
-  EXPECT_NE(report_text(fabric, {.check_theorems = false,
-                                 .audit_cps = false,
-                                 .random_trials = 1,
-                                 .seed = 1})
+  EXPECT_NE(report_text(fabric, {.check_theorems = false, .random_trials = 1})
                 .find("RLFT of arity K = 8"),
             std::string::npos);
 }

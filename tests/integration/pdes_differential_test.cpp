@@ -21,7 +21,7 @@
 #include "obs/trace.hpp"
 #include "ordering/ordering.hpp"
 #include "routing/dmodk.hpp"
-#include "sim/pdes.hpp"
+#include "sim/packet_sim.hpp"
 #include "topology/presets.hpp"
 #include "util/thread_pool.hpp"
 
@@ -86,7 +86,7 @@ TEST(Pdes648, InOrderShiftStagesMatchSerial) {
   EXPECT_EQ(oracle.messages_failed, 0u);
 
   for (const std::uint32_t parts : {2u, 8u}) {
-    ParallelPacketSim pdes(r.fabric, r.tables);
+    PacketSim pdes(r.fabric, r.tables);
     pdes.set_partitions(parts);
     const RunResult got = pdes.run(workload, Progression::kSynchronized);
     expect_identical(oracle, got);
@@ -107,7 +107,7 @@ TEST(Pdes648, AdversarialRingWithJitterMatchesSerial) {
   const RunResult oracle = serial.run(workload, Progression::kSynchronized);
 
   for (const std::uint32_t parts : {2u, 8u}) {
-    ParallelPacketSim pdes(r.fabric, r.tables);
+    PacketSim pdes(r.fabric, r.tables);
     pdes.set_stage_jitter(1'500, 17);
     pdes.set_partitions(parts);
     expect_identical(oracle, pdes.run(workload, Progression::kSynchronized));
@@ -134,7 +134,7 @@ TEST(Pdes648, FaultedFlapTimelineMatchesSerial) {
   EXPECT_GT(oracle.link_down_events, 0u);
 
   for (const std::uint32_t parts : {2u, 8u}) {
-    ParallelPacketSim pdes(r.fabric, r.tables);
+    PacketSim pdes(r.fabric, r.tables);
     pdes.set_fault_state(&faults);
     pdes.set_resilience({80'000, 3});
     pdes.set_partitions(parts);
@@ -152,7 +152,7 @@ TEST(Pdes648, AsyncProgressionMatchesSerial) {
   PacketSim serial(r.fabric, r.tables);
   const RunResult oracle = serial.run(workload, Progression::kAsync);
 
-  ParallelPacketSim pdes(r.fabric, r.tables);
+  PacketSim pdes(r.fabric, r.tables);
   pdes.set_partitions(8);
   expect_identical(oracle, pdes.run(workload, Progression::kAsync));
 }
@@ -181,7 +181,7 @@ Observed observed_run(std::uint32_t partitions, std::uint32_t threads) {
   observer.metrics = &metrics;
   observer.sample_period_ns = 5'000;
 
-  ParallelPacketSim pdes(fabric, tables);
+  PacketSim pdes(fabric, tables);
   pdes.set_partitions(partitions);
   pdes.set_observer(observer);
   Observed out;

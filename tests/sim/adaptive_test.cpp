@@ -76,6 +76,37 @@ TEST(Adaptive, MatchesDeterministicWhenTrafficIsClean) {
   EXPECT_NEAR(bw_det, bw_ada, 0.05);
 }
 
+TEST(Adaptive, AscendsPastAnUnprogrammedEntryUnderResilience) {
+  // A degraded table with no entry for a remote destination at the source
+  // leaf: the adaptive relation still offers every up port there (the leaf
+  // is not an ancestor of the destination), so the ascent must go through.
+  // Deterministic routing has nowhere to send the packet and drops it.
+  const Fabric fabric(topo::fig4b_pgft16());
+  route::ForwardingTables tables = route::DModKRouter{}.compute(fabric);
+  const std::uint64_t src = 0;
+  const std::uint64_t dst = fabric.num_hosts() - 1;
+  const topo::NodeId leaf = fabric.leaf_switch_of_host(src);
+  ASSERT_FALSE(fabric.is_ancestor_of_host(leaf, dst));
+  tables.clear_entry(leaf, dst);
+  StageTraffic stage(fabric.num_hosts());
+  stage.add(src, dst, 8 * 1024);
+  const std::vector<StageTraffic> stages{stage};
+
+  PacketSim ada(fabric, tables);
+  ada.set_up_selection(UpSelection::kAdaptive);
+  ada.set_resilience({50'000, 3});
+  const RunResult got = ada.run(stages, Progression::kAsync);
+  EXPECT_EQ(got.messages_failed, 0u);
+  EXPECT_EQ(got.packets_dropped, 0u);
+  EXPECT_EQ(got.bytes_delivered, 8u * 1024);
+
+  PacketSim det(fabric, tables);
+  det.set_resilience({50'000, 3});
+  const RunResult dropped = det.run(stages, Progression::kAsync);
+  EXPECT_EQ(dropped.messages_failed, 1u);
+  EXPECT_GT(dropped.packets_dropped, 0u);
+}
+
 TEST(Jitter, DelaysStageEntry) {
   Rig rig;
   const auto ordering = order::NodeOrdering::topology(rig.fabric);

@@ -1,15 +1,16 @@
 // Unit tests of the partitioned packet engine: partition-map shape, and the
-// core determinism contract — ParallelPacketSim at any partition count
-// reproduces the serial PacketSim byte for byte — on small fabrics across
-// every simulator feature (progression modes, jitter, adaptive routing,
-// resilience, mid-run flaps). The heavyweight 648-node differential pins
+// core determinism contract — PacketSim at any partition count reproduces
+// the serial run byte for byte — on small fabrics across every simulator
+// feature (progression modes, jitter, adaptive routing, resilience, mid-run
+// flaps). The heavyweight 648-node differential pins
 // live in tests/integration/pdes_differential_test.cpp (`pdes` label).
-#include "sim/pdes.hpp"
+#include "sim/packet_sim.hpp"
 
 #include <gtest/gtest.h>
 
 #include "cps/generators.hpp"
 #include "fault/degraded.hpp"
+#include "obs/trace.hpp"
 #include "ordering/ordering.hpp"
 #include "routing/dmodk.hpp"
 #include "sim/partition.hpp"
@@ -104,7 +105,7 @@ TEST(Pdes, MatchesSerialOracleOnRandomWorkloads) {
       PacketSim serial(fabric, tables);
       const RunResult oracle = serial.run(workload, mode);
       for (const std::uint32_t parts : {2u, 4u}) {
-        ParallelPacketSim pdes(fabric, tables);
+        PacketSim pdes(fabric, tables);
         pdes.set_partitions(parts);
         const RunResult got = pdes.run(workload, mode);
         expect_identical(oracle, got);
@@ -131,7 +132,7 @@ TEST(Pdes, MatchesSerialWithJitterAndAdaptiveRouting) {
   const RunResult oracle =
       serial.run(workload, Progression::kSynchronized);
 
-  ParallelPacketSim pdes(fabric, tables);
+  PacketSim pdes(fabric, tables);
   pdes.set_stage_jitter(2'000, 42);
   pdes.set_up_selection(UpSelection::kAdaptive);
   pdes.set_partitions(4);
@@ -155,13 +156,36 @@ TEST(Pdes, MatchesSerialUnderFaultsAndResilience) {
   EXPECT_GT(oracle.link_down_events, 0u);
 
   for (const std::uint32_t parts : {2u, 4u}) {
-    ParallelPacketSim pdes(fabric, tables);
+    PacketSim pdes(fabric, tables);
     pdes.set_fault_state(&faults);
     pdes.set_resilience({50'000, 3});
     pdes.set_partitions(parts);
     const RunResult got = pdes.run(workload, Progression::kSynchronized);
     expect_identical(oracle, got);
   }
+}
+
+TEST(Pdes, ShardDropsCountInTheCallersRecorder) {
+  const Fabric fabric(topo::fig4b_pgft16());
+  const auto tables = route::DModKRouter{}.compute(fabric);
+  const auto workload = traffic_from_cps(
+      cps::recursive_doubling(fabric.num_hosts()),
+      order::NodeOrdering::topology(fabric), fabric.num_hosts(), 16 * 1024);
+  const auto traced_run = [&](obs::TraceRecorder& trace) {
+    obs::SimObserver observer;
+    observer.trace = &trace;
+    PacketSim pdes(fabric, tables);
+    pdes.set_partitions(4);
+    pdes.set_observer(observer);
+    (void)pdes.run(workload, Progression::kSynchronized);
+  };
+  obs::TraceRecorder unbounded;
+  traced_run(unbounded);
+  ASSERT_EQ(unbounded.dropped(), 0u);
+  obs::TraceRecorder small(64);
+  traced_run(small);
+  EXPECT_EQ(small.size(), 64u);
+  EXPECT_EQ(small.size() + small.dropped(), unbounded.size());
 }
 
 }  // namespace

@@ -2,11 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <array>
-#include <span>
-
-#include "util/expects.hpp"
-
 namespace ftcf::util {
 namespace {
 
@@ -53,54 +48,6 @@ TEST(Accumulator, MergeWithEmpty) {
   empty.merge(a);
   EXPECT_EQ(empty.count(), 2u);
   EXPECT_DOUBLE_EQ(empty.mean(), 2.0);
-}
-
-TEST(Percentile, InterpolatesBetweenRanks) {
-  const std::vector<double> sample{5, 3, 1, 4, 2};
-  constexpr std::array<double, 5> kQs = {0.0, 1.0, 0.5, 0.25, 0.1};
-  const std::vector<double> got = percentiles(sample, kQs);
-  EXPECT_DOUBLE_EQ(got[0], 1.0);
-  EXPECT_DOUBLE_EQ(got[1], 5.0);
-  EXPECT_DOUBLE_EQ(got[2], 3.0);
-  EXPECT_DOUBLE_EQ(got[3], 2.0);
-  EXPECT_DOUBLE_EQ(got[4], 1.4);
-}
-
-TEST(Percentile, RejectsBadInput) {
-  constexpr std::array<double, 1> kMedian = {0.5};
-  constexpr std::array<double, 1> kOutOfRange = {1.5};
-  EXPECT_THROW(percentiles({}, kMedian), PreconditionError);
-  EXPECT_THROW(percentiles({1.0}, kOutOfRange), PreconditionError);
-}
-
-TEST(Percentiles, MatchesRepeatedSingleQueries) {
-  const std::vector<double> sample{9, 1, 4, 7, 2, 8, 3, 6, 5, 10};
-  const std::vector<double> qs{0.0, 0.1, 0.5, 0.95, 0.99, 1.0};
-  const std::vector<double> batch = percentiles(sample, qs);
-  ASSERT_EQ(batch.size(), qs.size());
-  for (std::size_t i = 0; i < qs.size(); ++i)
-    EXPECT_DOUBLE_EQ(batch[i], percentiles(sample, std::span(&qs[i], 1))[0])
-        << "q=" << qs[i];
-}
-
-TEST(Percentiles, QueriesNeedNotBeSorted) {
-  const std::vector<double> sample{1, 2, 3, 4, 5};
-  constexpr std::array<double, 3> kQs = {0.5, 0.0, 1.0};
-  const std::vector<double> batch = percentiles(sample, kQs);
-  EXPECT_DOUBLE_EQ(batch[0], 3.0);
-  EXPECT_DOUBLE_EQ(batch[1], 1.0);
-  EXPECT_DOUBLE_EQ(batch[2], 5.0);
-}
-
-TEST(Percentiles, EmptyQueryListIsFine) {
-  EXPECT_TRUE(percentiles({1.0, 2.0}, std::span<const double>{}).empty());
-}
-
-TEST(Percentiles, RejectsBadInput) {
-  constexpr std::array<double, 1> kMedian = {0.5};
-  constexpr std::array<double, 2> kBad = {0.5, 1.5};
-  EXPECT_THROW(percentiles({}, kMedian), PreconditionError);
-  EXPECT_THROW(percentiles({1.0}, kBad), PreconditionError);
 }
 
 }  // namespace

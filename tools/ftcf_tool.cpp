@@ -7,7 +7,7 @@
 //   ftcf_tool simulate --topo cluster.topo --cps ring --order random
 //                      --kib 256 [--sync] [--adaptive] [--trace t.json]
 //                      [--metrics m.json] [--profile]
-//                      [--pdes] [--partitions 8] [--full-oracle]
+//                      [--partitions 8] [--full-oracle]
 //                      [--faults "link:S1_0:4,flap:spine1:0:50:200"]
 //   ftcf_tool inject   --nodes 324 --faults "switch:spine4" [--lft-out d.lft]
 //   ftcf_tool theorems --spec "PGFT(3; 6,6,4; 1,6,6; 1,1,1)"
@@ -45,7 +45,6 @@
 #include "routing/router.hpp"
 #include "routing/validate.hpp"
 #include "sim/packet_sim.hpp"
-#include "sim/pdes.hpp"
 #include "topology/obs_names.hpp"
 #include "topology/presets.hpp"
 #include "topology/topo_io.hpp"
@@ -294,10 +293,10 @@ int cmd_simulate(int argc, const char* const* argv) {
   cli.add_option("retries", "max send attempts per packet (0 = default)", "0");
   cli.add_flag("sync", "barrier between stages");
   cli.add_flag("adaptive", "adaptive up-port selection");
-  cli.add_flag("pdes", "run the partitioned parallel engine (PDES)");
   cli.add_option("partitions",
-                 "PDES partition count (implies --pdes; 0 = thread count)",
-                 "0");
+                 "packet-engine partitions (PDES): 1 = serial, 0 = one per "
+                 "--threads worker",
+                 "1");
   cli.add_flag("full-oracle", "also run the serial engine and require the "
                "PDES RunResult to match it exactly");
   cli.add_option("vls", "attach a proposed destination->VL assignment of at "
@@ -332,62 +331,48 @@ int cmd_simulate(int argc, const char* const* argv) {
     obs_cli.set_heatmap_meta("vls", std::to_string(vl->num_lanes));
   }
 
-  // Shared configuration surface of the serial and partitioned engines.
-  // The observer only feeds the primary run: with --full-oracle the serial
-  // re-run is unobserved so traces/metrics aren't double-recorded.
-  const auto configure = [&](auto& s, bool observed) {
-    if (observed) s.set_observer(obs_cli.observer());
-    if (faults) s.set_fault_state(&*faults);
-    if (cli.uinteger("timeout-us") > 0 || cli.uinteger("retries") > 0) {
-      sim::Resilience policy;
-      if (cli.uinteger("timeout-us") > 0)
-        policy.timeout_ns =
-            static_cast<sim::SimTime>(cli.uinteger("timeout-us") * 1000);
-      if (cli.uinteger("retries") > 0)
-        policy.max_attempts =
-            static_cast<std::uint32_t>(cli.uinteger("retries"));
-      s.set_resilience(policy);
-    }
-    if (cli.flag("adaptive")) s.set_up_selection(sim::UpSelection::kAdaptive);
-    if (cli.uinteger("jitter-us") > 0)
-      s.set_stage_jitter(
-          static_cast<sim::SimTime>(cli.uinteger("jitter-us") * 1000),
-          cli.uinteger("seed"));
-  };
+  sim::PacketSim psim(fabric, tables);
+  psim.set_observer(obs_cli.observer());
+  if (faults) psim.set_fault_state(&*faults);
+  if (cli.uinteger("timeout-us") > 0 || cli.uinteger("retries") > 0) {
+    sim::Resilience policy;
+    if (cli.uinteger("timeout-us") > 0)
+      policy.timeout_ns =
+          static_cast<sim::SimTime>(cli.uinteger("timeout-us") * 1000);
+    if (cli.uinteger("retries") > 0)
+      policy.max_attempts = static_cast<std::uint32_t>(cli.uinteger("retries"));
+    psim.set_resilience(policy);
+  }
+  if (cli.flag("adaptive")) psim.set_up_selection(sim::UpSelection::kAdaptive);
+  if (cli.uinteger("jitter-us") > 0)
+    psim.set_stage_jitter(
+        static_cast<sim::SimTime>(cli.uinteger("jitter-us") * 1000),
+        cli.uinteger("seed"));
+  const bool partitioned = cli.uinteger("partitions") != 1;
+  psim.set_partitions(
+      cli.uinteger("partitions") == 0
+          ? par::default_threads()
+          : static_cast<std::uint32_t>(cli.uinteger("partitions")));
   const auto progression = cli.flag("sync") ? sim::Progression::kSynchronized
                                             : sim::Progression::kAsync;
-  const bool use_pdes = cli.flag("pdes") || cli.uinteger("partitions") > 0;
-  std::uint32_t partitions =
-      static_cast<std::uint32_t>(cli.uinteger("partitions"));
-  if (use_pdes && partitions == 0) partitions = par::default_threads();
 
-  sim::RunResult result;
-  sim::PdesStats pdes_stats;
   const auto wall_start = std::chrono::steady_clock::now();
-  if (use_pdes) {
-    sim::ParallelPacketSim psim(fabric, tables);
-    configure(psim, true);
-    psim.set_partitions(partitions);
-    result = psim.run(traffic, progression);
-    pdes_stats = psim.last_stats();
-  } else {
-    sim::PacketSim psim(fabric, tables);
-    configure(psim, true);
-    result = psim.run(traffic, progression);
-  }
+  const sim::RunResult result = psim.run(traffic, progression);
   const double wall_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     wall_start)
           .count();
+  const sim::PdesStats pdes_stats = psim.last_stats();
 
   if (cli.flag("full-oracle")) {
-    sim::PacketSim oracle(fabric, tables);
-    configure(oracle, false);
-    const auto expected = oracle.run(traffic, progression);
-    if (!same_run_result(result, expected)) {
+    // The serial re-run is unobserved so traces/metrics aren't
+    // double-recorded.
+    psim.set_observer({});
+    psim.set_partitions(1);
+    if (!same_run_result(result, psim.run(traffic, progression))) {
       std::cerr << "full-oracle: PDES RunResult diverges from the serial "
                    "engine (partitions="
-                << (use_pdes ? pdes_stats.partitions : 1) << ")\n";
+                << pdes_stats.partitions << ")\n";
       return 1;
     }
     std::cout << "full-oracle: PDES matches the serial engine exactly\n";
@@ -404,7 +389,7 @@ int cmd_simulate(int argc, const char* const* argv) {
   table.add_row({"out-of-order packets",
                  std::to_string(result.out_of_order_packets)});
   table.add_row({"events", std::to_string(result.events)});
-  if (use_pdes) {
+  if (partitioned) {
     table.add_row({"pdes partitions", std::to_string(pdes_stats.partitions)});
     table.add_row({"pdes windows", std::to_string(pdes_stats.windows)});
     table.add_row({"pdes channel events",
