@@ -43,7 +43,7 @@ int run_main(int argc, char** argv) {
   const topo::Fabric fabric(topo::paper_cluster(cli.uinteger("nodes")));
   const auto tables = route::DModKRouter{}.compute(fabric);
   const std::uint64_t n = fabric.num_hosts();
-  const std::uint64_t bytes = cli.uinteger("kib") * 1024;
+  const std::uint64_t bytes = cli.kib_bytes("kib");
 
   const auto topo_order = order::NodeOrdering::topology(fabric);
   const auto rand_order =

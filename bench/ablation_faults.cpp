@@ -17,7 +17,6 @@
 // currency.
 #include <iostream>
 
-#include "analysis/hsd.hpp"
 #include "check/check.hpp"
 #include "cps/generators.hpp"
 #include "fault/degraded.hpp"
@@ -48,7 +47,7 @@ int run_main(int argc, char** argv) {
 
   const topo::Fabric fabric(topo::paper_cluster(cli.uinteger("nodes")));
   const std::uint64_t n = fabric.num_hosts();
-  const std::uint64_t bytes = cli.uinteger("kib") * 1024;
+  const std::uint64_t bytes = cli.kib_bytes("kib");
 
   const auto ordering = order::NodeOrdering::topology(fabric);
   const cps::Sequence shift_seq = cps::shift(n);
@@ -105,9 +104,8 @@ int run_main(int argc, char** argv) {
               ? (checked.diagnostics.errors() == 0 ? "ok" : "ERRORS")
               : "DEADLOCK";
 
-      analysis::HsdAnalyzer analyzer(fabric, variant.tables);
-      analyzer.set_tolerate_unroutable(true);
-      const auto hsd = analyzer.analyze_sequence(shift_seq, ordering);
+      const auto hsd = check::summarize(check::certify_contention_freedom(
+          fabric, variant.tables, ordering, shift_seq));
 
       sim::PacketSim psim(fabric, variant.tables);
       psim.set_fault_state(&faults);

@@ -8,7 +8,7 @@
 // pre/post stages the grouping pays for non-power-of-two switch arities.
 #include <iostream>
 
-#include "analysis/hsd.hpp"
+#include "check/certify.hpp"
 #include "collectives/collectives.hpp"
 #include "collectives/cost_model.hpp"
 #include "core/grouped_rd.hpp"
@@ -46,9 +46,8 @@ int run_main(int argc, char** argv) {
   for (const std::uint64_t nodes : {128ull, 324ull, 1944ull}) {
     const topo::Fabric fabric(topo::paper_cluster(nodes));
     const auto lfts = route::DModKRouter{}.compute(fabric);
-    const analysis::HsdAnalyzer analyzer(fabric, lfts);
     const auto ordering = order::NodeOrdering::topology(fabric);
-    const std::uint64_t bytes = cli.uinteger("kib") * 1024;
+    const std::uint64_t bytes = cli.kib_bytes("kib");
 
     struct Variant {
       const char* name;
@@ -61,7 +60,8 @@ int run_main(int argc, char** argv) {
 
     double naive_seconds = 0.0;
     for (const Variant& v : variants) {
-      const auto metrics = analyzer.analyze_sequence(v.seq, ordering);
+      const auto metrics = check::summarize(
+          check::certify_contention_freedom(fabric, lfts, ordering, v.seq));
       // Alpha-beta-HSD estimate with equal payload per stage.
       coll::Trace trace;
       trace.sequence = v.seq;

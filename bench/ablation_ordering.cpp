@@ -7,7 +7,7 @@
 // bandwidth of one synchronized Ring stage in the packet simulator.
 #include <iostream>
 
-#include "analysis/hsd.hpp"
+#include "check/certify.hpp"
 #include "cps/generators.hpp"
 #include "obs/cli.hpp"
 #include "routing/dmodk.hpp"
@@ -37,14 +37,13 @@ int run_main(int argc, char** argv) {
 
   const topo::Fabric fabric(topo::paper_cluster(cli.uinteger("nodes")));
   const auto tables = route::DModKRouter{}.compute(fabric);
-  const analysis::HsdAnalyzer analyzer(fabric, tables);
   sim::PacketSim psim(fabric, tables);
   psim.set_observer(obs_cli.observer());
   const std::uint64_t n = fabric.num_hosts();
   const std::uint64_t seed = cli.uinteger("seed");
   const cps::Sequence shift_seq = cps::shift(n);
   const cps::Sequence ring_seq = cps::ring(n);
-  const std::uint64_t bytes = cli.uinteger("kib") * 1024;
+  const std::uint64_t bytes = cli.kib_bytes("kib");
 
   struct Policy {
     const char* name;
@@ -66,7 +65,8 @@ int run_main(int argc, char** argv) {
                   ", D-Mod-K routing fixed");
 
   for (const Policy& policy : policies) {
-    const auto metrics = analyzer.analyze_sequence(shift_seq, policy.ordering);
+    const auto metrics = check::summarize(check::certify_contention_freedom(
+        fabric, tables, policy.ordering, shift_seq));
     const auto result =
         psim.run(sim::traffic_from_cps(ring_seq, policy.ordering, n, bytes),
                  sim::Progression::kSynchronized);

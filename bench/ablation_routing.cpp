@@ -8,7 +8,7 @@
 // worlds").
 #include <iostream>
 
-#include "analysis/hsd.hpp"
+#include "check/certify.hpp"
 #include "core/grouped_rd.hpp"
 #include "cps/generators.hpp"
 #include "routing/router.hpp"
@@ -48,9 +48,11 @@ int run_main(int argc, char** argv) {
           route::RouterKind::kRandom}) {
       const auto router = route::make_router(kind, cli.uinteger("seed"));
       const auto tables = router->compute(fabric);
-      const analysis::HsdAnalyzer analyzer(fabric, tables);
-      const auto shift_metrics = analyzer.analyze_sequence(shift_seq, ordering);
-      const auto grd_metrics = analyzer.analyze_sequence(grd_seq, ordering);
+      const auto shift_metrics = check::summarize(
+          check::certify_contention_freedom(fabric, tables, ordering,
+                                            shift_seq));
+      const auto grd_metrics = check::summarize(
+          check::certify_contention_freedom(fabric, tables, ordering, grd_seq));
       table.add_row({fabric.spec().to_string(), router->name(),
                      util::fmt_double(shift_metrics.avg_max_hsd, 2),
                      std::to_string(shift_metrics.worst_stage_hsd),

@@ -83,8 +83,8 @@ int run_main(int argc, char** argv) {
 
   // Sweep: how typical is the picture in (a)?
   util::Accumulator hot_links;
-  const std::uint64_t trials = cli.uinteger("trials");
-  for (std::uint64_t t = 0; t < trials; ++t) {
+  const std::uint32_t trials = cli.positive_u32("trials");
+  for (std::uint32_t t = 0; t < trials; ++t) {
     const auto ordering = order::NodeOrdering::random(fabric, 1000 + t);
     hot_links.add(static_cast<double>(
         hot_link_count(analyzer, ordering, stage, fabric, loads)));

@@ -86,7 +86,7 @@ int run_main(int argc, char** argv) {
   table.set_title("Fig. 2 — normalized effective bandwidth (1.0 = PCIe rate)");
 
   for (const std::uint64_t kib : cli.uint_list("sizes")) {
-    const std::uint64_t bytes = kib * 1024;
+    const std::uint64_t bytes = util::kib_to_bytes(kib, "sizes");
     // Keep the event count roughly constant across sizes.
     std::size_t want = cli.uinteger("stages");
     if (want == 0) {

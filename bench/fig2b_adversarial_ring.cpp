@@ -47,7 +47,7 @@ int run_main(int argc, char** argv) {
           ? par::default_threads()
           : static_cast<std::uint32_t>(cli.uinteger("partitions")));
   const std::uint64_t n = fabric.num_hosts();
-  const std::uint64_t bytes = cli.uinteger("kib") * 1024;
+  const std::uint64_t bytes = cli.kib_bytes("kib");
   const cps::Sequence ring = cps::ring(n);
   const sim::Calibration calib;
 

@@ -7,7 +7,7 @@
 // Binomial and Tournament stay low (few concurrent pairs per stage).
 #include <iostream>
 
-#include "analysis/hsd.hpp"
+#include "core/report.hpp"
 #include "cps/generators.hpp"
 #include "routing/dmodk.hpp"
 #include "topology/presets.hpp"
@@ -31,8 +31,7 @@ int run_main(int argc, char** argv) {
   if (!cli.parse(argc, argv)) return 0;
   par::set_default_threads(static_cast<std::uint32_t>(cli.uinteger("threads")));
 
-  const std::uint32_t trials =
-      static_cast<std::uint32_t>(cli.uinteger("trials"));
+  const std::uint32_t trials = cli.positive_u32("trials");
   const cps::CpsKind kinds[] = {
       cps::CpsKind::kBinomial,     cps::CpsKind::kRecursiveDoubling,
       cps::CpsKind::kDissemination, cps::CpsKind::kRing,
@@ -49,7 +48,7 @@ int run_main(int argc, char** argv) {
     const auto tables = route::DModKRouter{}.compute(fabric);
     for (const cps::CpsKind kind : kinds) {
       const cps::Sequence seq = cps::generate(kind, fabric.num_hosts());
-      const util::Accumulator acc = analysis::random_order_hsd_ensemble(
+      const util::Accumulator acc = core::random_order_hsd_ensemble(
           fabric, tables, seq, trials, cli.uinteger("seed"));
       const std::string name = kind == cps::CpsKind::kRecursiveDoubling
                                    ? "butterfly"

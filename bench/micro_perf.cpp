@@ -11,7 +11,9 @@
 
 #include "analysis/hsd.hpp"
 #include "bench_export.hpp"
+#include "check/certify.hpp"
 #include "core/grouped_rd.hpp"
+#include "core/report.hpp"
 #include "cps/generators.hpp"
 #include "obs/metrics.hpp"
 #include "routing/dmodk.hpp"
@@ -97,12 +99,12 @@ void BM_HsdShiftSequenceThreaded(benchmark::State& state) {
   const topo::Fabric fabric(
       topo::paper_cluster(static_cast<std::uint64_t>(state.range(0))));
   const auto tables = route::DModKRouter{}.compute(fabric);
-  const analysis::HsdAnalyzer analyzer(fabric, tables);
   const auto ordering = order::NodeOrdering::topology(fabric);
   const cps::Sequence seq = cps::shift(fabric.num_hosts());
   const ThreadsGuard guard(static_cast<std::uint32_t>(state.range(1)));
   for (auto _ : state) {
-    const auto metrics = analyzer.analyze_sequence(seq, ordering);
+    const auto metrics = check::summarize(
+        check::certify_contention_freedom(fabric, tables, ordering, seq));
     benchmark::DoNotOptimize(metrics.avg_max_hsd);
   }
   state.SetItemsProcessed(state.iterations() *
@@ -123,7 +125,7 @@ void BM_HsdEnsembleThreaded(benchmark::State& state) {
   const ThreadsGuard guard(static_cast<std::uint32_t>(state.range(1)));
   for (auto _ : state) {
     const auto acc =
-        analysis::random_order_hsd_ensemble(fabric, tables, seq, 8, 42);
+        core::random_order_hsd_ensemble(fabric, tables, seq, 8, 42);
     benchmark::DoNotOptimize(acc.mean());
   }
   state.SetItemsProcessed(state.iterations() * 8);

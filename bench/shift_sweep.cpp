@@ -60,7 +60,7 @@ int run(int argc, char** argv) {
   const topo::Fabric fabric(topo::paper_cluster(cli.uinteger("nodes")));
   const auto tables = route::DModKRouter{}.compute(fabric);
   const std::uint64_t n = fabric.num_hosts();
-  const std::uint64_t bytes = cli.uinteger("kib") * 1024;
+  const std::uint64_t bytes = cli.kib_bytes("kib");
   const order::NodeOrdering ordering =
       cli.str("order") == "random"
           ? order::NodeOrdering::random(fabric, cli.uinteger("seed"))

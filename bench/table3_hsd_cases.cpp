@@ -14,15 +14,15 @@
 // always congestion-free, which is why structured sub-allocations matter.
 #include <iostream>
 
-#include "analysis/hsd.hpp"
+#include "check/certify.hpp"
 #include "core/grouped_rd.hpp"
-#include "core/plan.hpp"
 #include "cps/generators.hpp"
 #include "routing/dmodk.hpp"
 #include "topology/presets.hpp"
 #include "util/cli.hpp"
 #include "util/log.hpp"
 #include "util/rng.hpp"
+#include "util/stats.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
 
@@ -30,31 +30,29 @@ namespace {
 
 using namespace ftcf;
 
-struct CaseResult {
-  double ordered_hsd = 0.0;
-  double random_hsd = 0.0;
-};
-
-double sequence_hsd(const analysis::HsdAnalyzer& analyzer,
+double sequence_hsd(const topo::Fabric& fabric,
+                    const route::ForwardingTables& tables,
                     const cps::Sequence& seq,
                     const order::NodeOrdering& ordering) {
-  return analyzer.analyze_sequence(seq, ordering).avg_max_hsd;
+  return check::summarize(
+             check::certify_contention_freedom(fabric, tables, ordering, seq))
+      .avg_max_hsd;
 }
 
 /// Random-rank baseline over the same participant set. Trials run in
 /// parallel; per-trial values fold in trial order, and trial t's seed comes
 /// from util::derive_seed so cases with adjacent base seeds share nothing.
-double random_rank_hsd(const analysis::HsdAnalyzer& analyzer,
+double random_rank_hsd(const topo::Fabric& fabric,
+                       const route::ForwardingTables& tables,
                        const cps::Sequence& seq,
                        std::vector<std::uint64_t> hosts,
-                       std::uint64_t fabric_hosts, std::uint32_t trials,
-                       std::uint64_t seed) {
+                       std::uint32_t trials, std::uint64_t seed) {
   const auto per_trial = par::parallel_map(
       trials,
       [&](std::size_t t) {
         const auto ordering = order::NodeOrdering::random_subset(
-            hosts, fabric_hosts, util::derive_seed(seed, t));
-        return analyzer.analyze_sequence(seq, ordering).avg_max_hsd;
+            hosts, fabric.num_hosts(), util::derive_seed(seed, t));
+        return sequence_hsd(fabric, tables, seq, ordering);
       },
       par::ForOptions{.threads = 0, .grain = 1, .label = "table3.trial"});
   util::Accumulator acc;
@@ -74,7 +72,7 @@ int run_main(int argc, char** argv) {
   if (!cli.parse(argc, argv)) return 0;
   par::set_default_threads(static_cast<std::uint32_t>(cli.uinteger("threads")));
 
-  const auto trials = static_cast<std::uint32_t>(cli.uinteger("trials"));
+  const std::uint32_t trials = cli.positive_u32("trials");
   const std::uint64_t seed = cli.uinteger("seed");
 
   struct Case {
@@ -105,7 +103,6 @@ int run_main(int argc, char** argv) {
   for (const Case& c : cases) {
     const topo::Fabric fabric(topo::paper_cluster(c.nodes));
     const auto lfts = route::DModKRouter{}.compute(fabric);
-    const analysis::HsdAnalyzer analyzer(fabric, lfts);
 
     // Participant set: full fabric or the first residue classes.
     const std::uint64_t residues_total = order::num_sub_allocations(fabric);
@@ -124,13 +121,13 @@ int run_main(int argc, char** argv) {
     // Shift (covers every unidirectional CPS).
     {
       const cps::Sequence seq = cps::shift(p);
-      const double ordered = sequence_hsd(analyzer, seq, ordering);
-      const double random = random_rank_hsd(analyzer, seq, hosts,
-                                            fabric.num_hosts(), trials, seed);
+      const double ordered = sequence_hsd(fabric, lfts, seq, ordering);
+      const double random =
+          random_rank_hsd(fabric, lfts, seq, hosts, trials, seed);
       table.add_row({c.name, fabric.spec().to_string(), std::to_string(p),
                      "shift", util::fmt_double(ordered, 2),
                      util::fmt_double(random, 2),
-                     "x" + util::fmt_double(random / ordered, 1)});
+                     'x' + util::fmt_double(random / ordered, 1)});
     }
     // Grouped recursive doubling (covers the bidirectional CPS).
     {
@@ -138,15 +135,15 @@ int run_main(int argc, char** argv) {
           c.populated >= 1.0
               ? core::grouped_recursive_doubling(fabric)
               : core::grouped_recursive_doubling(fabric, hosts);
-      const double ordered = sequence_hsd(analyzer, seq, ordering);
+      const double ordered = sequence_hsd(fabric, lfts, seq, ordering);
       // Baseline: naive recursive doubling over randomly ranked nodes.
       const cps::Sequence naive = cps::recursive_doubling(p);
-      const double random = random_rank_hsd(analyzer, naive, hosts,
-                                            fabric.num_hosts(), trials, seed);
+      const double random =
+          random_rank_hsd(fabric, lfts, naive, hosts, trials, seed);
       table.add_row({c.name, fabric.spec().to_string(), std::to_string(p),
                      "grouped-RD", util::fmt_double(ordered, 2),
                      util::fmt_double(random, 2),
-                     "x" + util::fmt_double(random / ordered, 1)});
+                     'x' + util::fmt_double(random / ordered, 1)});
     }
     util::log_info("table3: ", c.name, " done");
   }
@@ -161,7 +158,6 @@ int run_main(int argc, char** argv) {
   {
     const topo::Fabric fabric(topo::paper_cluster(324));
     const auto lfts = route::DModKRouter{}.compute(fabric);
-    const analysis::HsdAnalyzer analyzer(fabric, lfts);
     util::Xoshiro256 rng(seed);
     util::Accumulator acc;
     for (std::uint32_t t = 0; t < trials; ++t) {
@@ -169,9 +165,7 @@ int run_main(int argc, char** argv) {
       std::vector<std::uint64_t> hosts(subset.begin(), subset.end());
       const auto ordering =
           order::NodeOrdering::compact_subset(hosts, fabric.num_hosts());
-      acc.add(
-          analyzer.analyze_sequence(cps::shift(hosts.size()), ordering)
-              .avg_max_hsd);
+      acc.add(sequence_hsd(fabric, lfts, cps::shift(hosts.size()), ordering));
     }
     std::cout << "  324-node fabric, 243 random participants, shift, compact "
                  "ranks: avg HSD "

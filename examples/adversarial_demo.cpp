@@ -30,7 +30,7 @@ int run_main(int argc, char** argv) {
   const analysis::HsdAnalyzer analyzer(fabric, tables);
   sim::PacketSim psim(fabric, tables);
   const std::uint64_t n = fabric.num_hosts();
-  const std::uint64_t bytes = cli.uinteger("kib") * 1024;
+  const std::uint64_t bytes = cli.kib_bytes("kib");
   const cps::Sequence ring = cps::ring(n);
 
   struct Variant {

@@ -32,7 +32,7 @@ int run_main(int argc, char** argv) {
   if (!cli.parse(argc, argv)) return 0;
 
   const std::uint64_t count =
-      cli.uinteger("kib") * 1024 / sizeof(coll::Element);
+      cli.kib_bytes("kib") / sizeof(coll::Element);
 
   util::Table table({"nodes", "allreduce algorithm", "comm time (plan)",
                      "comm time (random ranks)", "slowdown"});

@@ -41,7 +41,7 @@ int run_main(int argc, char** argv) {
 
   const topo::Fabric fabric(topo::paper_cluster(cli.uinteger("nodes")));
   const std::uint64_t n = fabric.num_hosts();
-  const std::uint64_t count = cli.uinteger("kib") * 1024 / sizeof(coll::Element);
+  const std::uint64_t count = cli.kib_bytes("kib") / sizeof(coll::Element);
   const auto tables = route::DModKRouter{}.compute(fabric);
   const auto topo_order = order::NodeOrdering::topology(fabric);
   const auto rand_order = order::NodeOrdering::random(fabric, cli.uinteger("seed"));

@@ -7,7 +7,7 @@
 //   $ ./partial_jobs --nodes 324
 #include <iostream>
 
-#include "analysis/hsd.hpp"
+#include "check/certify.hpp"
 #include "core/jobs.hpp"
 #include "cps/generators.hpp"
 #include "routing/dmodk.hpp"
@@ -29,7 +29,6 @@ int run_main(int argc, char** argv) {
 
   const topo::Fabric fabric(topo::paper_cluster(cli.uinteger("nodes")));
   const auto tables = route::DModKRouter{}.compute(fabric);
-  const analysis::HsdAnalyzer analyzer(fabric, tables);
   const std::uint64_t residues = order::num_sub_allocations(fabric);
 
   std::cout << "fabric " << fabric.spec().to_string() << ": "
@@ -47,8 +46,8 @@ int run_main(int argc, char** argv) {
     std::vector<std::uint32_t> classes(k);
     for (std::uint32_t c = 0; c < k; ++c) classes[c] = c;
     const auto ordering = order::NodeOrdering::residue_allocation(fabric, classes);
-    const auto metrics = analyzer.analyze_sequence(
-        cps::shift(ordering.num_ranks()), ordering);
+    const auto metrics = check::summarize(check::certify_contention_freedom(
+        fabric, tables, ordering, cps::shift(ordering.num_ranks())));
     table.add_row({"sub-allocation x" + std::to_string(k),
                    std::to_string(ordering.num_ranks()),
                    util::fmt_double(metrics.avg_max_hsd, 2),
@@ -64,8 +63,8 @@ int run_main(int argc, char** argv) {
     const auto subset = util::random_subset(fabric.num_hosts(), job, rng);
     const auto ordering = order::NodeOrdering::compact_subset(
         {subset.begin(), subset.end()}, fabric.num_hosts());
-    const auto metrics =
-        analyzer.analyze_sequence(cps::shift(job), ordering);
+    const auto metrics = check::summarize(check::certify_contention_freedom(
+        fabric, tables, ordering, cps::shift(job)));
     table.add_row({"random exclusion (" + std::to_string(job) + " nodes)",
                    std::to_string(job),
                    util::fmt_double(metrics.avg_max_hsd, 2),

@@ -32,14 +32,14 @@ int run_main(int argc, char** argv) {
   // 2. The plan: routing tables + MPI node order, one constructor call.
   const core::CollectivePlan plan(fabric);
 
-  // 3. Audit every collective permutation sequence under the plan.
+  // 3. Certify every collective permutation sequence under the plan.
   util::Table table({"CPS", "stages", "worst HSD", "congestion-free"});
   for (const cps::CpsKind kind : cps::kAllCpsKinds) {
     const cps::Sequence seq = plan.sequence_for(kind);
-    const auto audit = plan.audit(seq);
+    const check::Certificate cert = plan.audit(seq);
     table.add_row({seq.name, std::to_string(seq.num_stages()),
-                   std::to_string(audit.metrics.worst_stage_hsd),
-                   audit.congestion_free ? "yes" : "NO"});
+                   std::to_string(check::summarize(cert).worst_stage_hsd),
+                   cert.contention_free ? "yes" : "NO"});
   }
   table.print(std::cout);
 

@@ -3,18 +3,19 @@
 // Given a topology, routing tables and a traffic stage (a set of src->dst
 // host flows), count the flows crossing every directed link. The Hot-Spot
 // Degree of a link is that count; the HSD of a stage is the maximum over all
-// links; the HSD of a collective is the average of the per-stage maxima
-// (matching the paper: "the average of the maximal hot-spot-degree of all
-// links, over all stages of the collective algorithm"). HSD == 1 everywhere
-// means congestion-free.
+// links. HSD == 1 everywhere means congestion-free.
+//
+// HsdAnalyzer::analyze_stage is the per-flow reference: it walks every flow
+// through the tables with route::walk_lft. Tests compare the certifier
+// against it, and figures read per-port loads from it. Whole-sequence
+// questions (the paper's average of per-stage maxima, worst stage, stranded
+// flows) are answered by check::certify_contention_freedom and
+// check::summarize, which count from cached leaf paths. LinkClass and
+// StageLoads are the per-link bookkeeping both share.
 //
 // Thread safety: HsdAnalyzer holds only pointers to the (const) fabric and
-// tables; all per-call state lives in an explicit Workspace, so one analyzer
-// may be shared by any number of threads as long as each thread brings its
-// own Workspace (the workspace-less overloads allocate a fresh one per
-// call). analyze_sequence and random_order_hsd_ensemble fan out over the
-// ftcf::par default thread count and merge results in stage/trial order, so
-// their output is byte-identical for every thread count.
+// tables and allocates its per-call state, so one analyzer may be shared by
+// any number of threads.
 #pragma once
 
 #include <cstdint>
@@ -22,9 +23,7 @@
 #include <vector>
 
 #include "cps/stage.hpp"
-#include "ordering/ordering.hpp"
 #include "routing/trace.hpp"
-#include "util/stats.hpp"
 
 namespace ftcf::analysis {
 
@@ -76,78 +75,23 @@ class StageLoads {
   std::vector<topo::PortId> touched_;
 };
 
-struct SequenceMetrics {
-  double avg_max_hsd = 0.0;              ///< the paper's headline metric
-  std::uint32_t worst_stage_hsd = 0;     ///< max over stages
-  std::uint32_t worst_up_hsd = 0;
-  std::uint32_t worst_down_hsd = 0;
-  std::uint64_t unroutable_flows = 0;    ///< total over stages (degraded)
-  std::vector<std::uint32_t> per_stage_max;
-};
-
 class HsdAnalyzer {
  public:
-  /// Reusable per-call state (per-port counters and the route-walk buffer).
-  /// One per thread: a Workspace must not be used by two concurrent
-  /// analyze_stage calls, but may be reused across calls and analyzers.
-  class Workspace {
-   public:
-    Workspace() = default;
-
-   private:
-    friend class HsdAnalyzer;
-    StageLoads loads_;
-    std::vector<topo::PortId> walked_;
-  };
-
   HsdAnalyzer(const topo::Fabric& fabric,
               const route::ForwardingTables& tables);
 
-  /// Degraded-fabric mode: flows that hit an unprogrammed LFT entry are
-  /// counted in `unroutable_flows` and contribute no link load, instead of
-  /// raising an error. Default off — on complete tables an unprogrammed
-  /// entry is a bug and should fail loudly.
-  void set_tolerate_unroutable(bool tolerate) noexcept {
-    tolerate_unroutable_ = tolerate;
-  }
-
-  /// Analyze one stage given flows already in host-index space, using the
-  /// caller's workspace (race-free under concurrent calls with distinct
-  /// workspaces). When `link_loads` is non-null it receives the per-port
-  /// flow counts (indexed by PortId).
-  [[nodiscard]] StageMetrics analyze_stage(
-      std::span<const cps::Pair> host_flows, Workspace& workspace,
-      std::vector<std::uint32_t>* link_loads = nullptr) const;
-
-  /// Convenience overload with a private, freshly-allocated workspace.
-  /// Hot loops should hold a Workspace and use the overload above.
+  /// Analyze one stage given flows already in host-index space. A flow that
+  /// hits an unprogrammed LFT entry is counted in `unroutable_flows` and
+  /// loads no link, as in the certifier. When `link_loads` is non-null it
+  /// receives the per-port flow counts (indexed by PortId).
   [[nodiscard]] StageMetrics analyze_stage(
       std::span<const cps::Pair> host_flows,
       std::vector<std::uint32_t>* link_loads = nullptr) const;
-
-  /// Analyze a full CPS under a node ordering. Stages are analyzed in
-  /// parallel (ftcf::par) with one workspace per worker; metrics are folded
-  /// in stage order, so the result is identical for any thread count.
-  [[nodiscard]] SequenceMetrics analyze_sequence(
-      const cps::Sequence& seq, const order::NodeOrdering& ordering) const;
-
-  [[nodiscard]] const topo::Fabric& fabric() const noexcept { return *fabric_; }
 
  private:
   const topo::Fabric* fabric_;
   const route::ForwardingTables* tables_;
   std::vector<LinkClass> classes_;
-  bool tolerate_unroutable_ = false;
 };
-
-/// Fig. 3 ensemble: the sequence's avg-max-HSD under `trials` random
-/// orderings; the returned accumulator carries mean/min/max across trials.
-/// Trial t draws its ordering from util::derive_seed(seed, t), so ensembles
-/// for different base seeds share no trials. Trials run in parallel in
-/// fixed blocks whose per-block accumulators merge in block order — the
-/// statistics are byte-identical for any thread count.
-[[nodiscard]] util::Accumulator random_order_hsd_ensemble(
-    const topo::Fabric& fabric, const route::ForwardingTables& tables,
-    const cps::Sequence& seq, std::uint32_t trials, std::uint64_t seed);
 
 }  // namespace ftcf::analysis

@@ -122,15 +122,36 @@ Certificate certify_contention_freedom(const Fabric& fabric,
                             cert.stages[blame.stage], blame.hot_link);
       },
       par::ForOptions{.threads = 0, .grain = 1, .label = "check.certify"});
-  // One scratch lint pass explains every violating stage.
+  // One scratch lint pass explains every violating stage. An order mismatch
+  // outranks every other rule in blame_rule, so the fabric, sequence and
+  // table lints run only when the ordering lint finds none.
   Diagnostics lints;
-  lint_fabric(fabric, lints);
   lint_ordering(fabric, ordering, lints);
-  lint_sequence(sequence, lints);
-  lint_tables(fabric, tables, /*degraded_expected=*/false, lints);
+  if (detail::blame_rule(lints, 0) != "order-mismatch") {
+    lint_fabric(fabric, lints);
+    lint_sequence(sequence, lints);
+    lint_tables(fabric, tables, /*degraded_expected=*/false, lints);
+  }
   for (StageBlame& blame : cert.blames)
     blame.blamed_rule = detail::blame_rule(lints, blame.stage);
   return cert;
+}
+
+SequenceMetrics summarize(const Certificate& certificate) {
+  SequenceMetrics out;
+  double sum = 0.0;
+  std::size_t loaded = 0;
+  for (const StageWitness& witness : certificate.stages) {
+    out.worst_stage_hsd = std::max(out.worst_stage_hsd, witness.max_hsd);
+    out.worst_up_hsd = std::max(out.worst_up_hsd, witness.max_up_hsd);
+    out.worst_down_hsd = std::max(out.worst_down_hsd, witness.max_down_hsd);
+    out.unroutable_flows += witness.unroutable_flows;
+    if (witness.max_hsd == 0) continue;
+    sum += witness.max_hsd;
+    ++loaded;
+  }
+  out.avg_max_hsd = loaded ? sum / static_cast<double>(loaded) : 0.0;
+  return out;
 }
 
 namespace {
@@ -183,9 +204,7 @@ void report_certificate(const Certificate& certificate,
   }
   // Stranded flows with no hot link still void the certificate.
   if (certificate.blames.empty()) {
-    std::uint64_t stranded = 0;
-    for (const StageWitness& witness : certificate.stages)
-      stranded += witness.unroutable_flows;
+    const std::uint64_t stranded = summarize(certificate).unroutable_flows;
     diagnostics.error("hsd-violation", "",
                       "certificate void: " + std::to_string(stranded) +
                           " flow(s) unroutable through the supplied tables, "

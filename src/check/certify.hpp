@@ -87,6 +87,21 @@ struct Certificate {
     const topo::Fabric& fabric, const route::ForwardingTables& tables,
     const order::NodeOrdering& ordering, const cps::Sequence& sequence);
 
+/// The paper's whole-sequence HSD numbers, read off a certificate.
+struct SequenceMetrics {
+  /// The paper's headline metric: "the average of the maximal hot-spot-
+  /// degree of all links, over all stages", over the stages that load a
+  /// link.
+  double avg_max_hsd = 0.0;
+  std::uint32_t worst_stage_hsd = 0;   ///< max over stages
+  std::uint32_t worst_up_hsd = 0;
+  std::uint32_t worst_down_hsd = 0;
+  std::uint64_t unroutable_flows = 0;  ///< stranded flows, all stages
+};
+
+/// Fold the certificate's stage witnesses in stage order.
+[[nodiscard]] SequenceMetrics summarize(const Certificate& certificate);
+
 /// Map the certificate onto the diagnostics engine: `cert-ok` (note) when
 /// contention-free, else one `hsd-violation` error per violating stage
 /// (capped) with a `blame-<rule>` cross-reference note when a lint rule

@@ -182,11 +182,9 @@ CampaignReport run_campaign(const Fabric& fabric, const Timeline& timeline,
 
     // HSD trajectory from the maintained certificate state (cheap: no
     // blames to build while the fabric stays contention-free).
-    const check::Certificate cert = recert.certificate();
-    for (const check::StageWitness& w : cert.stages) {
-      if (w.max_hsd > outcome.max_hsd) outcome.max_hsd = w.max_hsd;
-      outcome.unroutable_flows += w.unroutable_flows;
-    }
+    const check::SequenceMetrics hsd = check::summarize(recert.certificate());
+    outcome.max_hsd = hsd.worst_stage_hsd;
+    outcome.unroutable_flows = hsd.unroutable_flows;
 
     {
       FTCF_PROF_SCOPE("churn.invariants");

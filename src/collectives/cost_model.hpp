@@ -10,8 +10,9 @@
 // uses; the ratio between the two quantifies what congestion costs.
 #pragma once
 
-#include "analysis/hsd.hpp"
 #include "collectives/collectives.hpp"
+#include "ordering/ordering.hpp"
+#include "routing/lft.hpp"
 #include "sim/ib_calibration.hpp"
 
 namespace ftcf::coll {
@@ -23,9 +24,9 @@ struct CostEstimate {
   std::uint64_t stages = 0;
 };
 
-/// Estimate a traced collective's completion time on a fabric. The trace's
-/// stage pairs are mapped through `ordering` and routed by `tables` to get
-/// each stage's HSD.
+/// Estimate a traced collective's completion time on a fabric. Each stage's
+/// HSD is read from the certificate of the trace's sequence under
+/// `ordering` and `tables`.
 [[nodiscard]] CostEstimate estimate_cost(
     const Trace& trace, const topo::Fabric& fabric,
     const route::ForwardingTables& tables, const order::NodeOrdering& ordering,

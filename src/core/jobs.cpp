@@ -2,10 +2,10 @@
 
 #include <algorithm>
 
+#include "check/certify.hpp"
 #include "cps/generators.hpp"
 #include "util/error.hpp"
 #include "util/expects.hpp"
-#include "util/thread_pool.hpp"
 
 namespace ftcf::core {
 
@@ -44,7 +44,6 @@ InterferenceReport analyze_job_interference(
     const topo::Fabric& fabric, const route::ForwardingTables& tables,
     const std::vector<JobPlacement>& jobs) {
   util::expects(!jobs.empty(), "interference analysis needs jobs");
-  const analysis::HsdAnalyzer analyzer(fabric, tables);
   InterferenceReport report;
 
   // Per-job shift sequences; stage counts differ, so the combined run wraps
@@ -54,36 +53,30 @@ InterferenceReport analyze_job_interference(
   for (const JobPlacement& job : jobs) {
     sequences.push_back(cps::shift(job.ordering.num_ranks()));
     longest = std::max(longest, sequences.back().num_stages());
-
-    const auto solo =
-        analyzer.analyze_sequence(sequences.back(), job.ordering);
+    const auto solo = check::summarize(check::certify_contention_freedom(
+        fabric, tables, job.ordering, sequences.back()));
     report.worst_single_job_hsd =
         std::max(report.worst_single_job_hsd, solo.worst_stage_hsd);
   }
 
-  // Each network step's combined traffic is independent of the others, so
-  // the interference sweep shards per step, one workspace per worker; the
-  // per-step maxima fold in step order (a max-reduction, but kept ordered
-  // so any future non-commutative merge stays deterministic too).
-  const par::ForOptions options{.threads = 0, .grain = 1, .label = "jobs.step"};
-  std::vector<analysis::HsdAnalyzer::Workspace> workspaces(
-      par::region_width(longest, options));
-  const auto step_max = par::parallel_map(
-      longest,
-      [&](std::size_t step, std::uint32_t worker) {
-        std::vector<cps::Pair> combined;
-        for (std::size_t k = 0; k < jobs.size(); ++k) {
-          const cps::Stage& stage =
-              sequences[k].stages[step % sequences[k].num_stages()];
-          const auto flows = jobs[k].ordering.map_stage(stage);
-          combined.insert(combined.end(), flows.begin(), flows.end());
-        }
-        return analyzer.analyze_stage(combined, workspaces[worker]).max_hsd;
-      },
-      options);
-  for (const std::uint32_t max_hsd : step_max) {
-    report.worst_combined_hsd = std::max(report.worst_combined_hsd, max_hsd);
+  // Every network step's combined traffic, in host space: ranks of the
+  // topology order are host indices.
+  cps::Sequence combined{.name = "concurrent shifts",
+                         .num_ranks = fabric.num_hosts(),
+                         .stages = std::vector<cps::Stage>(longest)};
+  for (std::size_t step = 0; step < longest; ++step) {
+    std::vector<cps::Pair>& pairs = combined.stages[step].pairs;
+    for (std::size_t k = 0; k < jobs.size(); ++k) {
+      const auto flows = jobs[k].ordering.map_stage(
+          sequences[k].stages[step % sequences[k].num_stages()]);
+      pairs.insert(pairs.end(), flows.begin(), flows.end());
+    }
   }
+  report.worst_combined_hsd =
+      check::summarize(check::certify_contention_freedom(
+                           fabric, tables,
+                           order::NodeOrdering::topology(fabric), combined))
+          .worst_stage_hsd;
   report.isolated = report.worst_combined_hsd <= 1;
   return report;
 }

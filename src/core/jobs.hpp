@@ -9,14 +9,14 @@
 // (residue classes of the host index modulo N / prod(w)). Each job then gets
 // its own compact rank order, and — because every job's Shift stage is a
 // subset of a full-fabric Shift stage family — the *combined* concurrent
-// traffic can be audited for cross-job interference with the same HSD
-// analyzer.
+// traffic is certified for cross-job interference by the same
+// check::certify_contention_freedom that certifies each job alone.
 #pragma once
 
 #include <vector>
 
-#include "analysis/hsd.hpp"
 #include "ordering/ordering.hpp"
+#include "routing/lft.hpp"
 #include "topology/fabric.hpp"
 
 namespace ftcf::core {
@@ -40,8 +40,8 @@ struct InterferenceReport {
 };
 
 /// Run every job's Shift CPS concurrently (stage s of each job in the same
-/// network step, shorter jobs wrap around) under D-Mod-K and measure
-/// per-link flows of the combined traffic.
+/// network step, shorter jobs wrap around) under D-Mod-K and certify the
+/// combined traffic as one host-space sequence.
 [[nodiscard]] InterferenceReport analyze_job_interference(
     const topo::Fabric& fabric, const route::ForwardingTables& tables,
     const std::vector<JobPlacement>& jobs);

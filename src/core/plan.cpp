@@ -18,12 +18,8 @@ cps::Sequence CollectivePlan::sequence_for(cps::CpsKind kind) const {
   }
 }
 
-CollectivePlan::Audit CollectivePlan::audit(const cps::Sequence& seq) const {
-  const analysis::HsdAnalyzer analyzer(*fabric_, tables_);
-  Audit result;
-  result.metrics = analyzer.analyze_sequence(seq, ordering_);
-  result.congestion_free = result.metrics.worst_stage_hsd <= 1;
-  return result;
+check::Certificate CollectivePlan::audit(const cps::Sequence& seq) const {
+  return check::certify_contention_freedom(*fabric_, tables_, ordering_, seq);
 }
 
 }  // namespace ftcf::core

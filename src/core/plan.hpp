@@ -12,10 +12,10 @@
 //   topo::Fabric fabric(topo::paper_cluster(324));
 //   core::CollectivePlan plan(fabric);
 //   auto seq = plan.sequence_for(cps::CpsKind::kShift);
-//   auto audit = plan.audit(seq);          // audit.congestion_free == true
+//   auto cert = plan.audit(seq);           // cert.contention_free == true
 #pragma once
 
-#include "analysis/hsd.hpp"
+#include "check/certify.hpp"
 #include "core/grouped_rd.hpp"
 #include "cps/generators.hpp"
 #include "ordering/ordering.hpp"
@@ -49,14 +49,10 @@ class CollectivePlan {
   /// util::SpecError otherwise).
   [[nodiscard]] cps::Sequence sequence_for(cps::CpsKind kind) const;
 
-  struct Audit {
-    bool congestion_free = false;
-    analysis::SequenceMetrics metrics;
-  };
-
-  /// Route every stage of `seq` under this plan's ordering and tables and
-  /// measure the hot-spot degrees.
-  [[nodiscard]] Audit audit(const cps::Sequence& seq) const;
+  /// Certify `seq` under this plan's ordering and tables: the per-stage
+  /// HSD witnesses (check::summarize folds them into the paper's numbers),
+  /// or a blame per stage that loads a link twice.
+  [[nodiscard]] check::Certificate audit(const cps::Sequence& seq) const;
 
  private:
   const topo::Fabric* fabric_;

@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <iostream>
+#include <limits>
 
 #include "util/error.hpp"
 #include "util/expects.hpp"
@@ -102,6 +103,28 @@ double Cli::real(const std::string& name) const {
   } catch (const std::exception&) {
     throw Error("option --" + name + ": cannot parse real '" + text + "'");
   }
+}
+
+std::uint64_t Cli::kib_bytes(const std::string& name) const {
+  return kib_to_bytes(uinteger(name), name);
+}
+
+std::uint32_t Cli::positive_u32(const std::string& name) const {
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint32_t>::max();
+  const std::uint64_t v = uinteger(name);
+  if (v == 0 || v > kMax)
+    throw Error("option --" + name + ": " + std::to_string(v) +
+                " is outside [1, " + std::to_string(kMax) + "]");
+  return static_cast<std::uint32_t>(v);
+}
+
+std::uint64_t kib_to_bytes(std::uint64_t kib, const std::string& option) {
+  constexpr std::uint64_t kMax =
+      std::numeric_limits<std::uint64_t>::max() / 1024;
+  if (kib == 0 || kib > kMax)
+    throw Error("option --" + option + ": message size " + std::to_string(kib) +
+                " KiB is outside [1, " + std::to_string(kMax) + "]");
+  return kib * 1024;
 }
 
 std::vector<std::uint64_t> Cli::uint_list(const std::string& name) const {

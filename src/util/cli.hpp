@@ -30,6 +30,11 @@ class Cli {
   [[nodiscard]] std::string str(const std::string& name) const;
   [[nodiscard]] std::uint64_t uinteger(const std::string& name) const;
   [[nodiscard]] double real(const std::string& name) const;
+  /// A message-size option given in KiB, as bytes (see kib_to_bytes).
+  [[nodiscard]] std::uint64_t kib_bytes(const std::string& name) const;
+  /// A count that must be positive and fit 32 bits (e.g. --trials); throws
+  /// util::Error naming the option otherwise.
+  [[nodiscard]] std::uint32_t positive_u32(const std::string& name) const;
 
   /// Comma-separated integer list option ("8,16,32").
   [[nodiscard]] std::vector<std::uint64_t> uint_list(
@@ -52,6 +57,11 @@ class Cli {
   std::map<std::string, Opt> opts_;
   std::vector<std::string> declared_order_;
 };
+
+/// `kib` KiB in bytes. Throws util::Error naming option --`option` when
+/// `kib` is 0 or the byte count does not fit 64 bits.
+[[nodiscard]] std::uint64_t kib_to_bytes(std::uint64_t kib,
+                                         const std::string& option);
 
 /// Every binary's main(): returns `run(argc, argv)`. A util::Error escaping
 /// it (an unknown flag, a malformed spec or input file) prints one

@@ -10,7 +10,7 @@
 //      index-ordered results serially. Nothing here depends on timing.
 //   2. *Race freedom.* Bodies receive a dense worker index in
 //      [0, region_width), so callers can hand each worker private scratch
-//      (see analysis::HsdAnalyzer::Workspace).
+//      (see the per-worker StageLoads of check::certify_contention_freedom).
 //   3. *No oversubscription.* A parallel_for issued from inside another
 //      parallel_for body runs inline on the calling worker; only top-level
 //      loops fan out.
@@ -103,28 +103,16 @@ void parallel_for(std::size_t n,
                   const std::function<void(std::size_t, std::uint32_t)>& body,
                   const ForOptions& options = {});
 
-/// out[i] = fn(i) (or fn(i, worker)) for every i, in parallel; results are
-/// positioned by index, so the returned vector is identical for any thread
-/// count. The result type must be default-constructible and assignable.
+/// out[i] = fn(i) for every i, in parallel; results are positioned by
+/// index, so the returned vector is identical for any thread count. The
+/// result type must be default-constructible and assignable.
 template <typename Fn>
 [[nodiscard]] auto parallel_map(std::size_t n, Fn&& fn,
                                 const ForOptions& options = {}) {
-  constexpr bool kTakesWorker =
-      std::is_invocable_v<Fn&, std::size_t, std::uint32_t>;
-  using R = std::decay_t<typename std::conditional_t<
-      kTakesWorker, std::invoke_result<Fn&, std::size_t, std::uint32_t>,
-      std::invoke_result<Fn&, std::size_t>>::type>;
+  using R = std::decay_t<std::invoke_result_t<Fn&, std::size_t>>;
   std::vector<R> out(n);
   parallel_for(
-      n,
-      [&out, &fn](std::size_t i, std::uint32_t worker) {
-        if constexpr (kTakesWorker) {
-          out[i] = fn(i, worker);
-        } else {
-          (void)worker;
-          out[i] = fn(i);
-        }
-      },
+      n, [&out, &fn](std::size_t i, std::uint32_t) { out[i] = fn(i); },
       options);
   return out;
 }

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "check/certify.hpp"
 #include "cps/generators.hpp"
 #include "routing/baselines.hpp"
 #include "routing/dmodk.hpp"
@@ -53,21 +54,27 @@ TEST(HsdAnalyzer, ConvergingFlowsCountOnTheSharedLink) {
 TEST(HsdAnalyzer, ShiftUnderDModKAndTopologyOrderIsCongestionFree) {
   Fixture fx;
   const cps::Sequence seq = cps::shift(16);
-  const SequenceMetrics metrics = fx.analyzer.analyze_sequence(seq, fx.ordering);
+  const check::Certificate cert = check::certify_contention_freedom(
+      fx.fabric, fx.tables, fx.ordering, seq);
+  const check::SequenceMetrics metrics = check::summarize(cert);
   EXPECT_EQ(metrics.worst_stage_hsd, 1u);
   EXPECT_DOUBLE_EQ(metrics.avg_max_hsd, 1.0);
-  EXPECT_EQ(metrics.per_stage_max.size(), 15u);
+  EXPECT_EQ(cert.stages.size(), 15u);
 }
 
 TEST(HsdAnalyzer, RandomOrderDegradesShift) {
   const Fabric fabric(topo::paper_cluster(128));
   const auto tables = route::DModKRouter{}.compute(fabric);
-  const HsdAnalyzer analyzer(fabric, tables);
   const cps::Sequence seq = cps::shift(128);
   const auto random_order = order::NodeOrdering::random(fabric, 7);
   const auto topo_order = order::NodeOrdering::topology(fabric);
-  const double random_hsd = analyzer.analyze_sequence(seq, random_order).avg_max_hsd;
-  const double topo_hsd = analyzer.analyze_sequence(seq, topo_order).avg_max_hsd;
+  const auto avg_max_hsd = [&](const order::NodeOrdering& ordering) {
+    return check::summarize(check::certify_contention_freedom(
+                                fabric, tables, ordering, seq))
+        .avg_max_hsd;
+  };
+  const double random_hsd = avg_max_hsd(random_order);
+  const double topo_hsd = avg_max_hsd(topo_order);
   EXPECT_DOUBLE_EQ(topo_hsd, 1.0);
   EXPECT_GT(random_hsd, 1.5);
 }
@@ -82,40 +89,15 @@ TEST(HsdAnalyzer, UpDownSplitIsReported) {
   EXPECT_GE(metrics.max_up_hsd, 3u);
 }
 
-TEST(HsdAnalyzer, EnsembleStatisticsAreDeterministic) {
-  const Fabric fabric(topo::paper_cluster(128));
-  const auto tables = route::DModKRouter{}.compute(fabric);
-  const cps::Sequence seq = cps::dissemination(128);
-  const auto a = random_order_hsd_ensemble(fabric, tables, seq, 5, 99);
-  const auto b = random_order_hsd_ensemble(fabric, tables, seq, 5, 99);
-  EXPECT_EQ(a.count(), 5u);
-  EXPECT_DOUBLE_EQ(a.mean(), b.mean());
-  EXPECT_DOUBLE_EQ(a.min(), b.min());
-  EXPECT_GE(a.max(), a.min());
-}
-
-// Pinned against the current trial-seed derivation (util::derive_seed):
-// these values change only if the seeding scheme or the analyzer changes,
-// and must be independent of the thread count. (The old `seed + t` scheme
-// produced different ensembles; repinned when it was replaced.)
-TEST(HsdAnalyzer, EnsembleValuesArePinned) {
-  const Fabric fabric(topo::paper_cluster(128));
-  const auto tables = route::DModKRouter{}.compute(fabric);
-  const cps::Sequence seq = cps::dissemination(128);
-  const auto acc = random_order_hsd_ensemble(fabric, tables, seq, 5, 99);
-  EXPECT_EQ(acc.count(), 5u);
-  EXPECT_DOUBLE_EQ(acc.mean(), 3.4571428571428573);
-  EXPECT_DOUBLE_EQ(acc.min(), 3.2857142857142856);
-  EXPECT_DOUBLE_EQ(acc.max(), 3.5714285714285716);
-}
-
 TEST(HsdAnalyzer, EmptyStagesContributeNothing) {
   Fixture fx;
   cps::Sequence seq{.name = "custom", .num_ranks = 16, .stages = {}};
   seq.stages.push_back(cps::Stage{});                  // empty
   seq.stages.push_back(cps::shift_stage(16, 4));       // clean
-  const SequenceMetrics metrics = fx.analyzer.analyze_sequence(seq, fx.ordering);
-  EXPECT_EQ(metrics.per_stage_max[0], 0u);
+  const check::Certificate cert = check::certify_contention_freedom(
+      fx.fabric, fx.tables, fx.ordering, seq);
+  const check::SequenceMetrics metrics = check::summarize(cert);
+  EXPECT_EQ(cert.stages[0].max_hsd, 0u);
   EXPECT_DOUBLE_EQ(metrics.avg_max_hsd, 1.0);  // averaged over non-empty only
 }
 

@@ -5,6 +5,7 @@
 #include <algorithm>
 
 #include "cps/generators.hpp"
+#include "ordering/ordering.hpp"
 #include "routing/dmodk.hpp"
 #include "topology/presets.hpp"
 

@@ -113,7 +113,6 @@ TEST(CertifierSweep, CertifiersAgreeOnRandomInputs) {
     if (fabric.node(fabric.host_node(0)).num_up_ports > 1) ++multi_up_trials;
     if (family == 5) ++adversarial_trials;
     analysis::HsdAnalyzer analyzer(fabric, tables);
-    analyzer.set_tolerate_unroutable(true);
 
     for (const cps::CpsKind kind : cps::kAllCpsKinds) {
       const cps::Sequence sequence = cps::generate(kind, ordering.num_ranks());

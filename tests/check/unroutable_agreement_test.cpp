@@ -51,7 +51,6 @@ TEST(UnroutableAgreement, EveryWalkerStrandsTheSameFlows) {
   }
 
   analysis::HsdAnalyzer analyzer(fabric, tables);
-  analyzer.set_tolerate_unroutable(true);
   const Certificate full =
       certify_contention_freedom(fabric, tables, ordering, pairs);
   const Certificate incremental =

@@ -72,10 +72,10 @@ TEST(Tuned, SelectedTracesAreCongestionFreeUnderThePlan) {
   const auto a2a = tuned.alltoall(make_inputs(128, 128, 9), 1);
   for (const Trace* trace :
        {&small.result.trace, &large.result.trace, &a2a.result.trace}) {
-    const auto audit = plan.audit(trace->sequence);
-    EXPECT_TRUE(audit.congestion_free)
+    const auto cert = plan.audit(trace->sequence);
+    EXPECT_TRUE(cert.contention_free)
         << trace->sequence.name << " worst HSD "
-        << audit.metrics.worst_stage_hsd;
+        << check::summarize(cert).worst_stage_hsd;
   }
 }
 

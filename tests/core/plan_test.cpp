@@ -17,9 +17,10 @@ TEST(CollectivePlan, AuditsEveryCpsCongestionFreeOnRlft) {
   EXPECT_TRUE(plan.is_rlft());
   for (const cps::CpsKind kind : cps::kAllCpsKinds) {
     const cps::Sequence seq = plan.sequence_for(kind);
-    const auto audit = plan.audit(seq);
-    EXPECT_TRUE(audit.congestion_free)
-        << cps_name(kind) << " worst HSD " << audit.metrics.worst_stage_hsd;
+    const auto cert = plan.audit(seq);
+    EXPECT_TRUE(cert.contention_free)
+        << cps_name(kind) << " worst HSD "
+        << check::summarize(cert).worst_stage_hsd;
   }
 }
 
@@ -64,9 +65,9 @@ TEST(CollectivePlan, NaiveRecursiveDoublingWouldCongest) {
   const Fabric fabric(topo::paper_cluster(324));
   const CollectivePlan plan(fabric);
   const auto naive = cps::recursive_doubling(fabric.num_hosts());
-  const auto audit = plan.audit(naive);
-  EXPECT_FALSE(audit.congestion_free);
-  EXPECT_GT(audit.metrics.worst_stage_hsd, 1u);
+  const auto cert = plan.audit(naive);
+  EXPECT_FALSE(cert.contention_free);
+  EXPECT_GT(check::summarize(cert).worst_stage_hsd, 1u);
 }
 
 TEST(CollectivePlan, PartialJobOverResidueAllocation) {

@@ -89,7 +89,6 @@ TEST(ResilientSim, HsdMatchesTheDegradedLinkLoadOracle) {
   AdversarialRig rig;
   const auto tables = route::compute_degraded_dmodk(rig.faults);
   analysis::HsdAnalyzer analyzer(rig.fabric, tables);
-  analyzer.set_tolerate_unroutable(true);
 
   for (const StageTraffic& st : rig.stages) {
     std::vector<cps::Pair> flows;

@@ -40,9 +40,9 @@ TEST(EndToEnd, GroupedAllreduceIsCorrectAndCongestionFree) {
     ASSERT_EQ(result.outputs[r], expect) << "rank " << r;
 
   // (b) congestion freedom of the same stages.
-  const auto audit = plan.audit(seq);
-  EXPECT_TRUE(audit.congestion_free)
-      << "worst HSD " << audit.metrics.worst_stage_hsd;
+  const auto cert = plan.audit(seq);
+  EXPECT_TRUE(cert.contention_free)
+      << "worst HSD " << check::summarize(cert).worst_stage_hsd;
 }
 
 TEST(EndToEnd, OrderedShiftSustainsFullBandwidthInThePacketSim) {

@@ -11,8 +11,9 @@
 #include <string>
 #include <vector>
 
-#include "analysis/hsd.hpp"
+#include "check/certify.hpp"
 #include "core/jobs.hpp"
+#include "core/report.hpp"
 #include "cps/generators.hpp"
 #include "obs/metrics.hpp"
 #include "routing/dmodk.hpp"
@@ -60,18 +61,19 @@ TEST(ParDeterminism, LftDumpIsByteIdenticalAcrossThreadCounts) {
 TEST(ParDeterminism, HsdMetricsAreByteIdenticalAcrossThreadCounts) {
   const topo::Fabric fabric(topo::paper_cluster(128));
   const auto tables = route::DModKRouter{}.compute(fabric);
-  const analysis::HsdAnalyzer analyzer(fabric, tables);
   const auto ordering = order::NodeOrdering::random(fabric, 3);
   const cps::Sequence seq = cps::shift(128);
 
   const auto outputs = outputs_per_thread_count([&] {
-    const auto metrics = analyzer.analyze_sequence(seq, ordering);
+    const auto cert =
+        check::certify_contention_freedom(fabric, tables, ordering, seq);
+    const auto metrics = check::summarize(cert);
     std::ostringstream os;
     os.precision(17);
     os << metrics.avg_max_hsd << '|' << metrics.worst_stage_hsd << '|'
        << metrics.worst_up_hsd << '|' << metrics.worst_down_hsd << '|'
        << metrics.unroutable_flows << '|';
-    for (const std::uint32_t m : metrics.per_stage_max) os << m << ',';
+    for (const check::StageWitness& w : cert.stages) os << w.max_hsd << ',';
     return os.str();
   });
   expect_identical(outputs, "HSD sequence metrics");
@@ -86,7 +88,7 @@ TEST(ParDeterminism, EnsembleStatisticsAreByteIdenticalAcrossThreadCounts) {
     // 11 trials: not a multiple of the internal block size, so the tail
     // block's merge is covered too.
     const auto acc =
-        analysis::random_order_hsd_ensemble(fabric, tables, seq, 11, 77);
+        core::random_order_hsd_ensemble(fabric, tables, seq, 11, 77);
     std::ostringstream os;
     os.precision(17);
     os << acc.count() << '|' << acc.mean() << '|' << acc.min() << '|'
@@ -115,7 +117,6 @@ TEST(ParDeterminism, MetricsJsonExportIsByteIdenticalAcrossThreadCounts) {
   const topo::Fabric fabric(topo::paper_cluster(128));
   const auto outputs = outputs_per_thread_count([&] {
     const auto tables = route::DModKRouter{}.compute(fabric);
-    const analysis::HsdAnalyzer analyzer(fabric, tables);
     const auto ordering = order::NodeOrdering::topology(fabric);
     obs::MetricsRegistry registry;
     registry.set_meta("suite", "par_determinism");
@@ -123,13 +124,14 @@ TEST(ParDeterminism, MetricsJsonExportIsByteIdenticalAcrossThreadCounts) {
          {cps::CpsKind::kShift, cps::CpsKind::kRecursiveDoubling,
           cps::CpsKind::kDissemination}) {
       const auto seq = cps::generate(kind, fabric.num_hosts());
-      const auto metrics = analyzer.analyze_sequence(seq, ordering);
+      const auto metrics = check::summarize(
+          check::certify_contention_freedom(fabric, tables, ordering, seq));
       registry.gauge(std::string("hsd.avg_max.") + cps::cps_name(kind))
           .set(metrics.avg_max_hsd);
       registry.gauge(std::string("hsd.worst.") + cps::cps_name(kind))
           .set(metrics.worst_stage_hsd);
     }
-    const auto acc = analysis::random_order_hsd_ensemble(
+    const auto acc = core::random_order_hsd_ensemble(
         fabric, tables, cps::shift(128), 6, 42);
     registry.gauge("hsd.random_shift.mean").set(acc.mean());
     registry.gauge("hsd.random_shift.max").set(acc.max());

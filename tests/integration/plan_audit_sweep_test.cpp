@@ -35,11 +35,12 @@ TEST_P(PlanAuditSweep, CongestionFreeUnderThePlan) {
   const topo::Fabric fabric(topo::paper_cluster(nodes));
   const core::CollectivePlan plan(fabric);
   const cps::Sequence seq = plan.sequence_for(kind);
-  const auto audit = plan.audit(seq);
-  EXPECT_TRUE(audit.congestion_free)
+  const auto cert = plan.audit(seq);
+  const auto metrics = check::summarize(cert);
+  EXPECT_TRUE(cert.contention_free)
       << cps_name(kind) << " on " << fabric.spec().to_string()
-      << ": worst HSD " << audit.metrics.worst_stage_hsd;
-  EXPECT_DOUBLE_EQ(audit.metrics.avg_max_hsd, 1.0);
+      << ": worst HSD " << metrics.worst_stage_hsd;
+  EXPECT_DOUBLE_EQ(metrics.avg_max_hsd, 1.0);
 }
 
 TEST_P(PlanAuditSweep, FtreeTablesGiveTheSameGuarantee) {
@@ -47,9 +48,8 @@ TEST_P(PlanAuditSweep, FtreeTablesGiveTheSameGuarantee) {
   const topo::Fabric fabric(topo::paper_cluster(nodes));
   const core::CollectivePlan plan(fabric);
   const auto ftree_tables = route::FtreeRouter{}.compute(fabric);
-  const analysis::HsdAnalyzer analyzer(fabric, ftree_tables);
-  const auto metrics =
-      analyzer.analyze_sequence(plan.sequence_for(kind), plan.ordering());
+  const auto metrics = check::summarize(check::certify_contention_freedom(
+      fabric, ftree_tables, plan.ordering(), plan.sequence_for(kind)));
   EXPECT_LE(metrics.worst_stage_hsd, 1u)
       << cps_name(kind) << " on " << fabric.spec().to_string();
 }

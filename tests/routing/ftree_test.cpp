@@ -4,7 +4,7 @@
 
 #include "util/expects.hpp"
 
-#include "analysis/hsd.hpp"
+#include "check/certify.hpp"
 #include "cps/generators.hpp"
 #include "routing/dmodk.hpp"
 #include "routing/validate.hpp"
@@ -51,10 +51,9 @@ TEST(Ftree, ShiftIsCongestionFreeOnParallelRailRlfts) {
   // form, but the behaviour must stay congestion-free.
   const Fabric fabric(topo::paper_cluster(324));  // p2 = 2
   const ForwardingTables tables = FtreeRouter{}.compute(fabric);
-  const analysis::HsdAnalyzer analyzer(fabric, tables);
   const auto ordering = order::NodeOrdering::topology(fabric);
-  const auto metrics =
-      analyzer.analyze_sequence(cps::shift(fabric.num_hosts()), ordering);
+  const auto metrics = check::summarize(check::certify_contention_freedom(
+      fabric, tables, ordering, cps::shift(fabric.num_hosts())));
   EXPECT_EQ(metrics.worst_stage_hsd, 1u);
 }
 

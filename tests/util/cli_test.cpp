@@ -56,6 +56,36 @@ TEST(Cli, RejectsMalformedNumber) {
   EXPECT_THROW(cli.uinteger("nodes"), Error);
 }
 
+TEST(Cli, KibBytesRejectsZeroAndOverflow) {
+  Cli cli = make_cli();
+  EXPECT_TRUE(parse(cli, {"--nodes", "64"}));
+  EXPECT_EQ(cli.kib_bytes("nodes"), 64u * 1024u);
+  EXPECT_EQ(kib_to_bytes(18014398509481983ull, "kib"),
+            18014398509481983ull * 1024u);
+  EXPECT_THROW((void)kib_to_bytes(0, "kib"), Error);
+  // 2^54 KiB is 2^64 bytes: it used to wrap to 0.
+  EXPECT_THROW((void)kib_to_bytes(18014398509481984ull, "kib"), Error);
+  try {
+    (void)kib_to_bytes(0, "sizes");
+    FAIL() << "expected a util::Error";
+  } catch (const Error& ex) {
+    EXPECT_NE(std::string(ex.what()).find("--sizes"), std::string::npos);
+  }
+}
+
+TEST(Cli, PositiveU32RejectsZeroAndTruncation) {
+  Cli cli = make_cli();
+  EXPECT_TRUE(parse(cli, {"--nodes", "4294967295"}));
+  EXPECT_EQ(cli.positive_u32("nodes"), 4294967295u);
+  Cli zero = make_cli();
+  EXPECT_TRUE(parse(zero, {"--nodes", "0"}));
+  EXPECT_THROW((void)zero.positive_u32("nodes"), Error);
+  // 2^32 used to truncate to 0.
+  Cli wide = make_cli();
+  EXPECT_TRUE(parse(wide, {"--nodes", "4294967296"}));
+  EXPECT_THROW((void)wide.positive_u32("nodes"), Error);
+}
+
 TEST(Cli, RejectsMissingValue) {
   Cli cli = make_cli();
   EXPECT_THROW(parse(cli, {"--nodes"}), Error);

@@ -88,11 +88,13 @@ TEST(ParallelMap, ResultsAreIndexOrderedForEveryThreadCount) {
   EXPECT_EQ(runs[0], runs[2]);
 }
 
-TEST(ParallelMap, WorkerAwareBodyGetsDenseWorkerIds) {
+TEST(ParallelFor, BodyGetsDenseWorkerIds) {
   ThreadsGuard guard(4);
   const std::uint32_t width = region_width(64, {});
-  const auto workers = parallel_map(
-      64, [](std::size_t, std::uint32_t worker) { return worker; });
+  std::vector<std::uint32_t> workers(64);
+  parallel_for(64, [&](std::size_t i, std::uint32_t worker) {
+    workers[i] = worker;
+  });
   for (const std::uint32_t w : workers) EXPECT_LT(w, width);
 }
 

@@ -29,7 +29,6 @@
 #include <optional>
 #include <sstream>
 
-#include "analysis/hsd.hpp"
 #include "check/check.hpp"
 #include "churn/campaign.hpp"
 #include "obs/heatmap.hpp"
@@ -147,6 +146,14 @@ order::NodeOrdering load_ordering(const std::string& name,
       "' (topology|random|adversarial|leaf-random|interleaved)");
 }
 
+/// The --cps sequence over every host: a cps::generate kind, or the §VI
+/// grouped recursive doubling for "grouped-rd".
+cps::Sequence load_sequence(const std::string& name,
+                            const topo::Fabric& fabric) {
+  if (name == "grouped-rd") return core::grouped_recursive_doubling(fabric);
+  return cps::generate(cps::parse_cps(name), fabric.num_hosts());
+}
+
 int cmd_topo(int argc, const char* const* argv) {
   util::Cli cli("ftcf_tool topo", "build, validate and export a topology");
   add_fabric_options(cli);
@@ -228,14 +235,10 @@ int cmd_hsd(int argc, const char* const* argv) {
   const auto tables = load_tables(cli, fabric, faults ? &*faults : nullptr);
   const auto ordering =
       load_ordering(cli.str("order"), fabric, cli.uinteger("seed"));
-  const cps::Sequence seq =
-      cli.str("cps") == "grouped-rd"
-          ? core::grouped_recursive_doubling(fabric)
-          : cps::generate(cps::parse_cps(cli.str("cps")), fabric.num_hosts());
+  const cps::Sequence seq = load_sequence(cli.str("cps"), fabric);
 
-  analysis::HsdAnalyzer analyzer(fabric, tables);
-  if (faults) analyzer.set_tolerate_unroutable(true);
-  const auto metrics = analyzer.analyze_sequence(seq, ordering);
+  const check::SequenceMetrics metrics = check::summarize(
+      check::certify_contention_freedom(fabric, tables, ordering, seq));
   util::Table table({"metric", "value"});
   table.add_row({"stages", std::to_string(seq.num_stages())});
   table.add_row({"avg max HSD", util::fmt_double(metrics.avg_max_hsd, 3)});
@@ -315,12 +318,9 @@ int cmd_simulate(int argc, const char* const* argv) {
   const auto tables = load_tables(cli, fabric, faults ? &*faults : nullptr);
   const auto ordering =
       load_ordering(cli.str("order"), fabric, cli.uinteger("seed"));
-  const cps::Sequence seq =
-      cli.str("cps") == "grouped-rd"
-          ? core::grouped_recursive_doubling(fabric)
-          : cps::generate(cps::parse_cps(cli.str("cps")), fabric.num_hosts());
+  const cps::Sequence seq = load_sequence(cli.str("cps"), fabric);
   const auto traffic = sim::traffic_from_cps(
-      seq, ordering, fabric.num_hosts(), cli.uinteger("kib") * 1024);
+      seq, ordering, fabric.num_hosts(), cli.kib_bytes("kib"));
 
   // The VL table must be attached before the observer is copied into the sim.
   std::optional<check::VlAssignment> vl;
@@ -554,10 +554,7 @@ int cmd_check(int argc, const char* const* argv) {
   }
   std::optional<cps::Sequence> sequence;
   if (!cli.str("cps").empty()) {
-    sequence = cli.str("cps") == "grouped-rd"
-                   ? core::grouped_recursive_doubling(fabric)
-                   : cps::generate(cps::parse_cps(cli.str("cps")),
-                                   fabric.num_hosts());
+    sequence = load_sequence(cli.str("cps"), fabric);
     options.sequence = &*sequence;
   }
   if (!cli.str("suppress").empty()) {
@@ -734,7 +731,7 @@ int cmd_report(int argc, const char* const* argv) {
   if (cli.str("run-out") == "-" && cli.str("html-out") == "-") {
     core::ReportOptions options;
     options.check_theorems = !cli.flag("no-theorems");
-    options.random_trials = static_cast<std::uint32_t>(cli.uinteger("trials"));
+    options.random_trials = cli.positive_u32("trials");
     core::write_fabric_report(fabric, std::cout, options);
     return 0;
   }
@@ -744,10 +741,7 @@ int cmd_report(int argc, const char* const* argv) {
   const auto tables = load_tables(cli, fabric, nullptr);
   const auto ordering =
       load_ordering(cli.str("order"), fabric, cli.uinteger("seed"));
-  const cps::Sequence seq =
-      cli.str("cps") == "grouped-rd"
-          ? core::grouped_recursive_doubling(fabric)
-          : cps::generate(cps::parse_cps(cli.str("cps")), fabric.num_hosts());
+  const cps::Sequence seq = load_sequence(cli.str("cps"), fabric);
 
   check::CheckOptions check_options;
   check_options.ordering = &ordering;
@@ -772,7 +766,7 @@ int cmd_report(int argc, const char* const* argv) {
   sim::PacketSim psim(fabric, tables);
   psim.set_observer(observer);
   const auto traffic = sim::traffic_from_cps(
-      seq, ordering, fabric.num_hosts(), cli.uinteger("kib") * 1024);
+      seq, ordering, fabric.num_hosts(), cli.kib_bytes("kib"));
   const auto result = psim.run(traffic, sim::Progression::kSynchronized);
   for (const auto& [key, value] : meta) metrics.set_meta(key, value);
 
@@ -881,10 +875,7 @@ int cmd_churn(int argc, const char* const* argv) {
   const churn::Timeline timeline = churn::resolve_timeline(fabric, fault_spec);
   const auto ordering =
       load_ordering(cli.str("order"), fabric, cli.uinteger("seed"));
-  const cps::Sequence seq =
-      cli.str("cps") == "grouped-rd"
-          ? core::grouped_recursive_doubling(fabric)
-          : cps::generate(cps::parse_cps(cli.str("cps")), fabric.num_hosts());
+  const cps::Sequence seq = load_sequence(cli.str("cps"), fabric);
 
   obs::MetricsRegistry metrics;
   churn::CampaignOptions options;
