@@ -53,7 +53,7 @@ int run_main(int argc, char** argv) {
         psim.run(sim::traffic_from_cps(ring, v.ordering, n, bytes),
                  sim::Progression::kSynchronized);
     std::vector<std::uint32_t> loads;
-    analyzer.analyze_stage(v.ordering.map_stage(ring.stages[0]), &loads);
+    (void)analyzer.analyze_stage(v.ordering.map_stage(ring.stages[0]), &loads);
     std::uint64_t hot = 0;
     std::uint32_t max_load = 0;
     for (const auto& level : analysis::per_level_loads(fabric, loads)) {

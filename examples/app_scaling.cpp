@@ -61,10 +61,11 @@ int run_main(int argc, char** argv) {
       rand_s +=
           coll::simulate_trace(*trace, fabric, tables, rand_order).seconds;
     }
+    std::string slowdown = "x";
+    slowdown += util::fmt_double(rand_s / plan_s, 2);
     table.add_row({std::to_string(n), ar.algorithm,
                    util::fmt_double(plan_s * 1e3, 2) + " ms",
-                   util::fmt_double(rand_s * 1e3, 2) + " ms",
-                   "x" + util::fmt_double(rand_s / plan_s, 2)});
+                   util::fmt_double(rand_s * 1e3, 2) + " ms", slowdown});
   }
 
   table.print(std::cout);

@@ -1,6 +1,7 @@
 #include "check/depgraph.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <sstream>
 
 #include "routing/adaptive.hpp"
@@ -25,28 +26,48 @@ bool lane_match(const DependencyOptions& options, std::uint64_t d) {
 /// Dependencies of one source switch: for every routed destination, the
 /// in-channel that reaches this switch is the switch's own out-channel of
 /// the previous hop — equivalently, every (out-channel here, out-channel at
-/// the next switch) pair. Sorted and deduplicated per switch.
+/// the next switch) pair. Each pair is marked in an (out-port at u) x
+/// (out-port at the next switch) matrix and emitted row by row; channels
+/// are numbered in PortId order and a node's ports are contiguous and
+/// ascending by index, so the result is ascending and distinct.
 std::vector<std::uint64_t> switch_dependencies(
     const Fabric& fabric, const route::ForwardingTables& tables,
     const ChannelIndex& ci, NodeId u, const DependencyOptions& options) {
-  std::vector<std::uint64_t> deps;
+  const topo::Node& node = fabric.node(u);
+  const std::uint32_t radix = node.num_down_ports + node.num_up_ports;
+  // The switch behind each out-port of u whose channel is in the universe
+  // (kInvalidNode when the port terminates at a host or is excluded).
+  std::vector<NodeId> next(radix, topo::kInvalidNode);
+  std::uint32_t stride = 0;
+  for (std::uint32_t o1 = 0; o1 < radix; ++o1) {
+    const PortId e1 = fabric.port_id(u, o1);
+    const NodeId v = fabric.port(fabric.port(e1).peer).node;
+    const topo::Node& vn = fabric.node(v);
+    if (ci.dense[e1] == kNoChannel || vn.kind != topo::NodeKind::kSwitch)
+      continue;
+    next[o1] = v;
+    stride = std::max(stride, vn.num_down_ports + vn.num_up_ports);
+  }
+  std::vector<std::uint8_t> seen(std::size_t{radix} * stride, 0);
   const std::uint64_t n = fabric.num_hosts();
   for (std::uint64_t d = 0; d < n; ++d) {
     if (!lane_match(options, d)) continue;
-    if (!tables.has_entry(u, d)) continue;
-    const PortId e1 = fabric.port_id(u, tables.out_port(u, d));
-    const std::uint32_t c1 = ci.dense[e1];
-    if (c1 == kNoChannel) continue;  // terminates at a host
-    const NodeId v = fabric.port(fabric.port(e1).peer).node;
-    if (fabric.node(v).kind != topo::NodeKind::kSwitch) continue;
-    if (!tables.has_entry(v, d)) continue;
-    const PortId e2 = fabric.port_id(v, tables.out_port(v, d));
-    const std::uint32_t c2 = ci.dense[e2];
-    if (c2 == kNoChannel) continue;
-    deps.push_back((static_cast<std::uint64_t>(c1) << 32) | c2);
+    const std::uint32_t o1 = tables.entry(u, d);
+    if (o1 == route::kUnroutedPort || next[o1] == topo::kInvalidNode)
+      continue;
+    const std::uint32_t o2 = tables.entry(next[o1], d);
+    if (o2 != route::kUnroutedPort) seen[std::size_t{o1} * stride + o2] = 1;
   }
-  std::sort(deps.begin(), deps.end());
-  deps.erase(std::unique(deps.begin(), deps.end()), deps.end());
+  std::vector<std::uint64_t> deps;
+  for (std::uint32_t o1 = 0; o1 < radix; ++o1) {
+    if (next[o1] == topo::kInvalidNode) continue;
+    const std::uint64_t c1 = ci.dense[fabric.port_id(u, o1)];
+    for (std::uint32_t o2 = 0; o2 < stride; ++o2) {
+      if (seen[std::size_t{o1} * stride + o2] == 0) continue;
+      const std::uint32_t c2 = ci.dense[fabric.port_id(next[o1], o2)];
+      if (c2 != kNoChannel) deps.push_back((c1 << 32) | c2);
+    }
+  }
   return deps;
 }
 
@@ -153,10 +174,10 @@ std::vector<std::uint64_t> build_dependencies(
       },
       par::ForOptions{.threads = 0, .grain = 1, .label = options.label});
 
+  // Hosts precede switches in NodeId (so PortId and channel) order, and
+  // every per-node list is ascending with its own source channels: the
+  // concatenation in node order is already sorted and distinct.
   std::vector<std::uint64_t> all;
-  for (const auto& deps : per_switch)
-    all.insert(all.end(), deps.begin(), deps.end());
-
   if (options.host_injections) {
     auto per_host = par::parallel_map(
         fabric.num_hosts(),
@@ -167,9 +188,11 @@ std::vector<std::uint64_t> build_dependencies(
     for (const auto& deps : per_host)
       all.insert(all.end(), deps.begin(), deps.end());
   }
-
-  std::sort(all.begin(), all.end());
-  all.erase(std::unique(all.begin(), all.end()), all.end());
+  for (const auto& deps : per_switch)
+    all.insert(all.end(), deps.begin(), deps.end());
+  util::ensures(std::adjacent_find(all.begin(), all.end(),
+                                   std::greater_equal<>()) == all.end(),
+                "node-ordered dependencies are strictly ascending");
   return all;
 }
 

@@ -9,8 +9,8 @@
 //   * the credit-loop prover (check/credit.hpp), whose universe is every
 //     channel guarded by a finite credit pool in the packet simulator.
 // This header factors the pieces they share: dense channel numbering,
-// dependency generation (parallel over ftcf::par, merged in switch-index
-// order — byte-identical at any thread count), CSR adjacency, iterative
+// dependency generation (parallel over ftcf::par, concatenated in node
+// order — sorted by construction, byte-identical at any thread count), CSR adjacency, iterative
 // Tarjan SCC and concrete-cycle extraction.
 #pragma once
 
@@ -25,7 +25,8 @@ namespace ftcf::check {
 
 inline constexpr std::uint32_t kNoChannel = static_cast<std::uint32_t>(-1);
 
-/// Dense numbering of a subset of the fabric's directed links.
+/// Dense numbering of a subset of the fabric's directed links, ascending
+/// in PortId (build_dependencies relies on that order).
 struct ChannelIndex {
   std::vector<topo::PortId> channels;  ///< dense id -> PortId
   std::vector<std::uint32_t> dense;    ///< PortId -> dense id (kNoChannel = excluded)
@@ -61,9 +62,12 @@ struct DependencyOptions {
 };
 
 /// All distinct dependencies, packed (from_dense << 32 | to_dense) and
-/// sorted ascending. Generated per source switch in parallel, merged in
-/// switch-index order, then globally sorted — identical for any thread
-/// count.
+/// sorted ascending — identical for any thread count. Generated per source
+/// node in parallel and concatenated in NodeId order with no global sort:
+/// a ChannelIndex numbers channels in PortId order, a node's ports are
+/// contiguous, and each node emits its pairs in ascending order, so the
+/// concatenation is sorted by construction (host-injection lists first, as
+/// hosts precede switches). The build asserts that invariant.
 [[nodiscard]] std::vector<std::uint64_t> build_dependencies(
     const topo::Fabric& fabric, const route::ForwardingTables& tables,
     const ChannelIndex& ci, const DependencyOptions& options = {});

@@ -3,7 +3,7 @@
 #include <sstream>
 
 #include "check/certify.hpp"
-#include "check/depgraph.hpp"
+#include "check/cdg.hpp"
 #include "check/diagnostics.hpp"
 #include "fault/connectivity.hpp"
 #include "obs/profile.hpp"
@@ -75,15 +75,6 @@ void check_connectivity(const Fabric& fabric, const route::IncrementalRepair& re
   }
 }
 
-bool cdg_acyclic(const Fabric& fabric, const route::ForwardingTables& tables) {
-  const check::ChannelIndex ci = check::switch_channels(fabric);
-  const std::vector<std::uint64_t> deps =
-      check::build_dependencies(fabric, tables, ci,
-                                {.label = "churn.cdg"});
-  return check::find_cyclic_sccs(check::build_graph(ci.size(), deps))
-             .cyclic_sccs == 0;
-}
-
 /// The differential oracle: incremental state must be *identical* to a
 /// from-scratch recompute over the same health view.
 void check_full_oracle(const Fabric& fabric,
@@ -132,7 +123,7 @@ CampaignReport run_campaign(const Fabric& fabric, const Timeline& timeline,
       ++report.connectivity_checks;
     }
     if (options.check_cdg) {
-      ensures(cdg_acyclic(fabric, repair.tables()),
+      ensures(check::analyze_cdg(fabric, repair.tables()).acyclic,
               "baseline tables have a cyclic channel dependency graph");
       ++report.cdg_checks;
     }
@@ -194,7 +185,8 @@ CampaignReport run_campaign(const Fabric& fabric, const Timeline& timeline,
         ++report.connectivity_checks;
       }
       if (options.check_cdg) {
-        outcome.cdg_acyclic = cdg_acyclic(fabric, repair.tables());
+        outcome.cdg_acyclic =
+            check::analyze_cdg(fabric, repair.tables()).acyclic;
         ensures(outcome.cdg_acyclic,
                 "churn event produced a cyclic channel dependency graph: " +
                     outcome.label);

@@ -100,12 +100,9 @@ std::vector<std::string> table1_collectives() {
 std::string usage_marker(const UsageEntry& entry) {
   std::string marker;
   const bool mvapich = entry.library == MpiLibrary::kMvapich;
-  switch (entry.msg_class) {
-    case MsgClass::kSmall: marker = mvapich ? "m" : "o"; break;
-    case MsgClass::kLarge: marker = mvapich ? "M" : "O"; break;
-    case MsgClass::kBoth: marker = mvapich ? "mM" : "oO"; break;
-  }
-  if (entry.power_of_two_only) marker += "2";
+  if (entry.msg_class != MsgClass::kLarge) marker += mvapich ? 'm' : 'o';
+  if (entry.msg_class != MsgClass::kSmall) marker += mvapich ? 'M' : 'O';
+  if (entry.power_of_two_only) marker += '2';
   return marker;
 }
 

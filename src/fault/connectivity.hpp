@@ -16,9 +16,9 @@
 namespace ftcf::fault {
 
 /// Per-host reachability (indexed by host linear index) from `src` over the
-/// degraded graph via up*/down* paths. out[src] mirrors health.host_up(src);
-/// every entry is 0 when src cannot inject at all (dead host or no alive
-/// cable to an alive leaf).
+/// degraded graph via up*/down* paths. out[src] equals health.host_up(src),
+/// and every entry is 0 when src cannot inject at all (dead host or no
+/// alive cable to an alive leaf).
 [[nodiscard]] std::vector<std::uint8_t> updown_reachable_hosts(
     const topo::Fabric& fabric, const LinkHealth& health, std::uint64_t src);
 

@@ -46,8 +46,8 @@ class ObsCli {
     obs_.vl_of_dst = vl_of_dst;
   }
 
-  /// Content-only metadata for the heatmap JSON header (mirrors the
-  /// certificate writer's meta discipline: no timestamps, no thread counts).
+  /// Content-only metadata for the heatmap JSON header. Like the
+  /// certificate's meta, it carries no timestamps and no thread counts.
   void set_heatmap_meta(const std::string& key, const std::string& value) {
     heatmap_meta_[key] = value;
   }

@@ -68,7 +68,7 @@ void ContentionHeatmap::ingest(std::span<const TraceEvent> events) {
       case EventKind::kPacketForwarded: {
         const HeatmapKey key{ev.stage, ev.a, ev.vl};
         HeatmapCell& cell = cells_[key];
-        cell.busy_ns += ev.dur;
+        cell.busy_ns += static_cast<std::uint64_t>(ev.dur);
         ++cell.packets;
         std::vector<std::uint32_t>& seen = msgs_seen_[key];
         if (std::find(seen.begin(), seen.end(), ev.b) == seen.end()) {
@@ -102,9 +102,10 @@ std::uint64_t ContentionHeatmap::stage_window_ns(std::uint16_t stage) const {
   const auto it = windows_.find(stage);
   if (it != windows_.end() && it->second.has_begin && it->second.has_end &&
       it->second.end > it->second.begin) {
-    return it->second.end - it->second.begin;
+    return static_cast<std::uint64_t>(it->second.end - it->second.begin);
   }
-  if (any_event_ && span_end_ > span_begin_) return span_end_ - span_begin_;
+  if (any_event_ && span_end_ > span_begin_)
+    return static_cast<std::uint64_t>(span_end_ - span_begin_);
   return 0;
 }
 

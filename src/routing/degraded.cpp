@@ -26,6 +26,26 @@ std::uint32_t pristine_dmodk_port(const Fabric& fabric, NodeId sw,
   return node.num_down_ports + DModKRouter::up_port_formula(spec, l, dest);
 }
 
+std::uint32_t chooser_scan_rank(const Fabric& fabric, NodeId sw,
+                                std::uint64_t dest, std::uint32_t port) {
+  const PgftSpec& spec = fabric.spec();
+  const topo::Node& node = fabric.node(sw);
+  const std::uint32_t l = node.level;
+  if (fabric.is_ancestor_of_host(sw, dest)) {
+    const std::uint32_t p = spec.p(l);
+    const std::uint32_t rail = port / spec.m(l);
+    const std::uint32_t r0 = DModKRouter::down_rail_formula(spec, l, dest);
+    return (rail + p - r0) % p;
+  }
+  const std::uint32_t w = spec.w(l + 1);
+  const std::uint32_t p = spec.p(l + 1);
+  const std::uint32_t q0 = DModKRouter::up_port_formula(spec, l, dest);
+  const std::uint32_t q = port - node.num_down_ports;
+  const std::uint32_t g = (q % w + w - q0 % w) % w;
+  const std::uint32_t r = (q / w + p - q0 / w) % p;
+  return g * p + r;
+}
+
 DestinationRouter::DestinationRouter(const Fabric& fabric, LinkHealth health)
     : fabric_(&fabric), health_(health), viable_(fabric.num_nodes(), 0) {}
 

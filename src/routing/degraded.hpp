@@ -52,6 +52,16 @@ struct DestStats {
                                                 topo::NodeId sw,
                                                 std::uint64_t dest);
 
+/// Position of out-port `port` in the order the chooser at `sw` scans its
+/// candidates for `dest` (0 == the pristine port, scanned first). For an
+/// ancestor of `dest`, `port` must be a rail of the child column and the
+/// rank counts rails from the D-Mod-K rail r0; otherwise `port` must be an
+/// up port and the rank follows (b0+g) mod w, then (k0+r) mod p.
+[[nodiscard]] std::uint32_t chooser_scan_rank(const topo::Fabric& fabric,
+                                              topo::NodeId sw,
+                                              std::uint64_t dest,
+                                              std::uint32_t port);
+
 /// The degraded chooser for one destination at a time. Holds the viability
 /// scratch, so one instance per worker thread; distinct destinations write
 /// disjoint LFT columns and may be routed concurrently.

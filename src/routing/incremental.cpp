@@ -75,73 +75,57 @@ bool IncrementalRepair::column_uses(
   return false;
 }
 
-void IncrementalRepair::refresh_dest(std::uint64_t dest) {
-  std::vector<PortId>& col = column_links_[dest];
-  col.clear();
-  std::uint32_t deviations = 0;
-  for (const NodeId sw : fabric_->switch_ids()) {
-    if (node_down_[sw]) continue;
-    if (!tables_.has_entry(sw, dest)) {
-      ++deviations;
-      continue;
-    }
-    const std::uint32_t port_idx = tables_.out_port(sw, dest);
-    col.push_back(canonical(fabric_->port_id(sw, port_idx)));
-    if (port_idx != pristine_dmodk_port(*fabric_, sw, dest)) ++deviations;
-  }
-  std::sort(col.begin(), col.end());
-  col.erase(std::unique(col.begin(), col.end()), col.end());
-  non_pristine_[dest] = deviations;
-}
-
 void IncrementalRepair::recompute_columns(
     const std::vector<std::uint64_t>& dests, RepairDelta* delta) {
   if (dests.empty()) return;
   const auto switch_ids = fabric_->switch_ids();
 
-  // Snapshot the pre-event columns so the post-route diff can report which
-  // destinations actually changed and by how many entries.
-  std::vector<std::vector<std::uint32_t>> before;
-  if (delta != nullptr) {
-    before.resize(dests.size());
-    for (std::size_t i = 0; i < dests.size(); ++i) {
-      before[i].reserve(switch_ids.size());
-      for (const NodeId sw : switch_ids)
-        before[i].push_back(tables_.entry(sw, dests[i]));
-    }
-  }
-
-  // Distinct destinations occupy disjoint LFT slots, so routing them
-  // concurrently is race-free; stats and bookkeeping fold serially below
-  // in ascending destination order for byte determinism.
+  // Distinct destinations occupy disjoint LFT columns and bookkeeping
+  // slots, so each worker snapshots, re-routes, diffs and re-indexes its
+  // own destinations; only the delta lists fold serially below, in
+  // ascending destination order, for byte determinism.
+  struct Worker {
+    DestinationRouter router;
+    std::vector<std::uint32_t> before;  ///< the column before re-routing
+  };
   const par::ForOptions opts{0, 1, "route.incremental"};
   const std::uint32_t width = par::region_width(dests.size(), opts);
-  std::vector<DestinationRouter> routers;
-  routers.reserve(width);
+  std::vector<Worker> workers;
+  workers.reserve(width);
   for (std::uint32_t w = 0; w < width; ++w)
-    routers.emplace_back(*fabric_, health());
-  std::vector<DestStats> fresh(dests.size());
+    workers.push_back({DestinationRouter(*fabric_, health()), {}});
+  std::vector<std::uint32_t> changed(dests.size(), 0);
   par::parallel_for(
       dests.size(),
       [&](std::size_t i, std::uint32_t worker) {
-        fresh[i] = routers[worker].route(dests[i], tables_);
+        const std::uint64_t dest = dests[i];
+        Worker& wk = workers[worker];
+        wk.before.clear();
+        for (const NodeId sw : switch_ids)
+          wk.before.push_back(tables_.entry(sw, dest));
+        const DestStats ds = wk.router.route(dest, tables_);
+        // Dead switches hold no entry, so each entry is an alive switch's
+        // and its out-cable belongs to the programmed column.
+        std::vector<PortId>& col = column_links_[dest];
+        col.clear();
+        for (std::size_t j = 0; j < switch_ids.size(); ++j) {
+          const std::uint32_t entry = tables_.entry(switch_ids[j], dest);
+          if (entry != wk.before[j]) ++changed[i];
+          if (entry != kUnroutedPort)
+            col.push_back(canonical(fabric_->port_id(switch_ids[j], entry)));
+        }
+        std::sort(col.begin(), col.end());
+        col.erase(std::unique(col.begin(), col.end()), col.end());
+        dest_stats_[dest] = ds;
+        non_pristine_[dest] = ds.unrouted + ds.rerouted;
       },
       opts);
 
+  if (delta == nullptr) return;
   for (std::size_t i = 0; i < dests.size(); ++i) {
-    const std::uint64_t dest = dests[i];
-    if (delta != nullptr) {
-      std::uint64_t changed = 0;
-      for (std::size_t j = 0; j < switch_ids.size(); ++j)
-        if (before[i][j] != tables_.entry(switch_ids[j], dest))
-          ++changed;
-      if (changed > 0) {
-        delta->changed_dests.push_back(dest);
-        delta->entries_changed += changed;
-      }
-    }
-    dest_stats_[dest] = fresh[i];
-    refresh_dest(dest);
+    if (changed[i] == 0) continue;
+    delta->changed_dests.push_back(dests[i]);
+    delta->entries_changed += changed[i];
   }
 }
 
@@ -191,9 +175,29 @@ RepairDelta IncrementalRepair::repair_cable(PortId port) {
   link_down_[peer] = 0;
   delta.applied = true;
 
+  // The cable joins lower node u (through its up port) to upper switch v;
+  // u is a host for a host-attached cable. The dirty rule is argued in the
+  // header; a pristine column holds every scan's first candidate.
+  const bool a_is_lower = fabric_->is_up_port(a, fabric_->port(port).index);
+  const NodeId u = a_is_lower ? a : b;
+  const NodeId v = a_is_lower ? b : a;
+  const std::uint32_t up_idx = fabric_->port(a_is_lower ? port : peer).index;
+  const std::uint32_t down_idx = fabric_->port(a_is_lower ? peer : port).index;
+  const bool host_cable = fabric_->node(u).kind == topo::NodeKind::kHost;
+  // True when `sw`'s chooser scans `port_idx` before its entry for `d`.
+  const auto scanned_first = [&](NodeId sw, std::uint64_t d,
+                                 std::uint32_t port_idx) {
+    return chooser_scan_rank(*fabric_, sw, d, port_idx) <
+           chooser_scan_rank(*fabric_, sw, d, tables_.out_port(sw, d));
+  };
   std::vector<std::uint64_t> dirty;
-  for (std::uint64_t d = 0; d < fabric_->num_hosts(); ++d)
-    if (non_pristine_[d] > 0) dirty.push_back(d);
+  for (std::uint64_t d = 0; d < fabric_->num_hosts(); ++d) {
+    if (non_pristine_[d] == 0) continue;
+    if (host_cable || !tables_.has_entry(u, d) || !tables_.has_entry(v, d) ||
+        (fabric_->is_ancestor_of_host(u, d) ? scanned_first(v, d, down_idx)
+                                            : scanned_first(u, d, up_idx)))
+      dirty.push_back(d);
+  }
   recompute_columns(dirty, &delta);
   delta.stats = stats();
   return delta;

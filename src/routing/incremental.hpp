@@ -14,10 +14,21 @@
 //     died or a viability flip chain (which bottoms out at a programmed
 //     column cable) reached it. Dirty = destinations whose column uses the
 //     failed cable.
-//   * cable REPAIR   — health only improves, so accepted candidates stay
-//     accepted; the chooser scans the pristine candidate first, so a fully
-//     pristine column cannot improve. Dirty = destinations with any
-//     deviation (rerouted or unrouted entry at an alive switch).
+//   * cable REPAIR   — health only improves. Let the cable join lower
+//     switch u (through its up port) to upper switch v. Viability is
+//     monotone in health, and the cable adds one candidate edge for each
+//     destination d: u -> v when u is not an ancestor of d, v -> u (a rail
+//     of d's child column) when it is. So a viability flip must start at u
+//     or v, and an alive switch holds an entry exactly when it is viable.
+//     With both viable, no viability moves, every scan meets the same
+//     accept/reject answers except for the new candidate, and only the
+//     switch that scans it can change — to it, and only when it comes
+//     before the current entry in the scan (chooser_scan_rank). A fully
+//     pristine column holds every scan's first candidate, so it never
+//     changes. Dirty = non-pristine destinations where u or v has no
+//     entry, or the cable is scanned before the entry of u (ascending) or
+//     v (descending). Host-attached cables dirty every non-pristine
+//     destination.
 //   * switch FAIL    — equivalent to failing every adjacent cable that was
 //     still up, plus dropping the dead switch from the per-destination
 //     bookkeeping (its unrouted count no longer exists in a full build).
@@ -104,9 +115,9 @@ class IncrementalRepair {
   }
   [[nodiscard]] bool column_uses(std::uint64_t dest,
                                  const std::vector<topo::PortId>& cables) const;
-  void refresh_dest(std::uint64_t dest);
-  /// Re-route `dests` (ascending) in parallel, then serially diff against
-  /// the pre-event columns, updating bookkeeping and `delta`.
+  /// Re-route `dests` (ascending) in parallel; each worker also diffs its
+  /// destinations against their pre-event columns and refreshes their
+  /// bookkeeping. `delta` (when non-null) gets the changed columns.
   void recompute_columns(const std::vector<std::uint64_t>& dests,
                          RepairDelta* delta);
 

@@ -21,7 +21,7 @@ TEST(LinkLoad, HistogramOfCleanShiftIsAllOnes) {
   const auto ordering = order::NodeOrdering::topology(fabric);
   std::vector<std::uint32_t> loads;
   const auto flows = ordering.map_stage(cps::shift_stage(16, 4));
-  analyzer.analyze_stage(flows, &loads);
+  (void)analyzer.analyze_stage(flows, &loads);
   // 16 flows, destination 4 away: all leave their leaf = 4 links each, and
   // every used link carries exactly one flow.
   EXPECT_EQ(std::count(loads.begin(), loads.end(), 1u), 64);
@@ -34,7 +34,7 @@ TEST(LinkLoad, PerLevelBreakdownSeparatesDirections) {
   const HsdAnalyzer analyzer(fabric, tables);
   std::vector<std::uint32_t> loads;
   const std::vector<cps::Pair> flows{{0, 4}, {1, 8}, {2, 12}, {3, 5}};
-  analyzer.analyze_stage(flows, &loads);
+  (void)analyzer.analyze_stage(flows, &loads);
   const auto levels = per_level_loads(fabric, loads);
   ASSERT_FALSE(levels.empty());
   bool saw_up = false, saw_down = false;
@@ -55,7 +55,7 @@ TEST(LinkLoad, HotLinksAreCounted) {
   std::vector<std::uint32_t> loads;
   // Three flows from leaf 0 to destinations congruent mod 4: one hot up-link.
   const std::vector<cps::Pair> flows{{0, 4}, {1, 8}, {2, 12}};
-  analyzer.analyze_stage(flows, &loads);
+  (void)analyzer.analyze_stage(flows, &loads);
   const auto levels = per_level_loads(fabric, loads);
   std::uint64_t hot = 0;
   for (const LevelLoad& ll : levels)
@@ -69,7 +69,7 @@ TEST(LinkLoad, LeafRenderingShowsEveryLeaf) {
   const HsdAnalyzer analyzer(fabric, tables);
   const auto ordering = order::NodeOrdering::topology(fabric);
   std::vector<std::uint32_t> loads;
-  analyzer.analyze_stage(ordering.map_stage(cps::shift_stage(16, 4)), &loads);
+  (void)analyzer.analyze_stage(ordering.map_stage(cps::shift_stage(16, 4)), &loads);
   const std::string text = render_leaf_up_loads(fabric, loads);
   EXPECT_NE(text.find("S1_0 up: 1 1 1 1"), std::string::npos);
   EXPECT_NE(text.find("S1_3"), std::string::npos);

@@ -138,13 +138,16 @@ TEST(AlgebraClassify, SymbolicSequenceMatchesGeneratedStages) {
         ASSERT_EQ(from_tuple.kind, from_pairs.kind)
             << cps::cps_name(kind) << " n=" << n << " stage=" << s;
         EXPECT_NE(from_tuple.kind, AlgebraKind::kOpaque);
-        if (from_tuple.kind == AlgebraKind::kShift)
+        if (from_tuple.kind == AlgebraKind::kShift) {
           EXPECT_EQ(from_tuple.displacement % n, from_pairs.displacement % n);
-        if (from_tuple.kind == AlgebraKind::kXor)
+        }
+        if (from_tuple.kind == AlgebraKind::kXor) {
           EXPECT_EQ(from_tuple.xor_mask, from_pairs.xor_mask);
-        if (from_tuple.kind != AlgebraKind::kEmpty)
+        }
+        if (from_tuple.kind != AlgebraKind::kEmpty) {
           EXPECT_EQ(expand(from_tuple.sources), expand(from_pairs.sources))
               << cps::cps_name(kind) << " n=" << n << " stage=" << s;
+        }
       }
     }
   }

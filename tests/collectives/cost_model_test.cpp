@@ -66,7 +66,7 @@ TEST(CostModel, MisalignedTraceRejected) {
   auto run = allgather_ring(inputs_for(128, 4));
   run.trace.bytes_per_pair.pop_back();
   EXPECT_THROW(
-      estimate_cost(run.trace, rig.fabric, rig.tables, ordering),
+      (void)estimate_cost(run.trace, rig.fabric, rig.tables, ordering),
       util::PreconditionError);
 }
 

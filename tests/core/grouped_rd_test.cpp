@@ -79,8 +79,9 @@ TEST(GroupedRd, BulkStagesHaveXorDisplacement) {
     const auto classes =
         cps::displacement_classes(st, fabric.num_hosts());
     EXPECT_LE(classes.size(), 2u);
-    if (st.role == cps::StageRole::kExchange && classes.size() == 2)
+    if (st.role == cps::StageRole::kExchange && classes.size() == 2) {
       EXPECT_EQ(classes[0] + classes[1], fabric.num_hosts());
+    }
   }
 }
 

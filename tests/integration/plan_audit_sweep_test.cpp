@@ -22,9 +22,9 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::ValuesIn(std::vector<cps::CpsKind>(
                            std::begin(cps::kAllCpsKinds),
                            std::end(cps::kAllCpsKinds)))),
-    [](const ::testing::TestParamInfo<Param>& info) {
-      std::string name = std::to_string(std::get<0>(info.param)) + "_" +
-                         cps::cps_name(std::get<1>(info.param));
+    [](const ::testing::TestParamInfo<Param>& param_info) {
+      std::string name = std::to_string(std::get<0>(param_info.param)) + "_" +
+                         cps::cps_name(std::get<1>(param_info.param));
       for (char& c : name)
         if (c == '-') c = '_';
       return name;

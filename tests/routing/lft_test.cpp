@@ -14,7 +14,7 @@ TEST(ForwardingTables, StartsUnprogrammed) {
   const Fabric fabric(topo::fig4b_pgft16());
   const ForwardingTables tables(fabric);
   EXPECT_FALSE(tables.complete());
-  EXPECT_THROW(tables.out_port(fabric.switch_node(1, 0), 0),
+  EXPECT_THROW((void)tables.out_port(fabric.switch_node(1, 0), 0),
                util::PreconditionError);
 }
 

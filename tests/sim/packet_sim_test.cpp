@@ -100,9 +100,11 @@ TEST(PacketSim, MessageLatencyIncludesCutThroughPipeline) {
   // Host serialization + 3 forwards at link rate + per-hop latencies.
   const double ser_host = 2048 / calib.host_bw_bytes_per_sec * 1e6;
   const double ser_link = 2048 / calib.link_bw_bytes_per_sec * 1e6;
-  const double hop = (calib.switch_latency_ns + calib.cable_latency_ns) * 1e-3;
-  const double expected =
-      ser_host + 3 * ser_link + 3 * hop + calib.cable_latency_ns * 1e-3;
+  const double hop =
+      static_cast<double>(calib.switch_latency_ns + calib.cable_latency_ns) *
+      1e-3;
+  const double expected = ser_host + 3 * ser_link + 3 * hop +
+                          static_cast<double>(calib.cable_latency_ns) * 1e-3;
   EXPECT_NEAR(result.message_latency_us.mean(), expected, 0.2);
 }
 

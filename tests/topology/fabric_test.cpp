@@ -114,11 +114,11 @@ TEST(Fabric, NamesAreUnique) {
 
 TEST(Fabric, RejectsOutOfRangeQueries) {
   const Fabric fabric(fig4b_pgft16());
-  EXPECT_THROW(fabric.host_node(16), util::PreconditionError);
-  EXPECT_THROW(fabric.switch_node(0, 0), util::PreconditionError);
-  EXPECT_THROW(fabric.switch_node(3, 0), util::PreconditionError);
-  EXPECT_THROW(fabric.switch_node(1, 4), util::PreconditionError);
-  EXPECT_THROW(fabric.host_digit(0, 0), util::PreconditionError);
+  EXPECT_THROW((void)fabric.host_node(16), util::PreconditionError);
+  EXPECT_THROW((void)fabric.switch_node(0, 0), util::PreconditionError);
+  EXPECT_THROW((void)fabric.switch_node(3, 0), util::PreconditionError);
+  EXPECT_THROW((void)fabric.switch_node(1, 4), util::PreconditionError);
+  EXPECT_THROW((void)fabric.host_digit(0, 0), util::PreconditionError);
 }
 
 }  // namespace

@@ -71,8 +71,8 @@ INSTANTIATE_TEST_SUITE_P(
              std::string(kHeader) + "link H0:9 S1_0:0\n", Expect::kSpec},
         Case{"declared_port_count_wrong",
              std::string(kHeader) + "node H0 ports=3\n", Expect::kSpec}),
-    [](const ::testing::TestParamInfo<Case>& info) {
-      return std::string(info.param.name);
+    [](const ::testing::TestParamInfo<Case>& param_info) {
+      return std::string(param_info.param.name);
     });
 
 }  // namespace

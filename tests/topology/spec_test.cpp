@@ -85,9 +85,9 @@ TEST(PgftSpec, ParseRejectsGarbage) {
 
 TEST(PgftSpec, LevelAccessorsValidateRange) {
   const PgftSpec spec({4, 4}, {1, 2}, {1, 2});
-  EXPECT_THROW(spec.m(0), util::PreconditionError);
-  EXPECT_THROW(spec.m(3), util::PreconditionError);
-  EXPECT_THROW(spec.down_ports_at_level(0), util::PreconditionError);
+  EXPECT_THROW((void)spec.m(0), util::PreconditionError);
+  EXPECT_THROW((void)spec.m(3), util::PreconditionError);
+  EXPECT_THROW((void)spec.down_ports_at_level(0), util::PreconditionError);
 }
 
 }  // namespace

@@ -47,8 +47,8 @@ INSTANTIATE_TEST_SUITE_P(
                       Preset{"rlft3-small", rlft3_top(4, 4)},
                       Preset{"xgft-asym",
                              PgftSpec::xgft({3, 5, 2}, {1, 3, 5})}),
-    [](const ::testing::TestParamInfo<Preset>& info) {
-      std::string name = info.param.name;
+    [](const ::testing::TestParamInfo<Preset>& param_info) {
+      std::string name = param_info.param.name;
       for (char& c : name)
         if (c == '-') c = '_';
       return name;

@@ -53,7 +53,7 @@ TEST(Cli, RejectsUnknownOption) {
 TEST(Cli, RejectsMalformedNumber) {
   Cli cli = make_cli();
   EXPECT_TRUE(parse(cli, {"--nodes", "12x"}));
-  EXPECT_THROW(cli.uinteger("nodes"), Error);
+  EXPECT_THROW((void)cli.uinteger("nodes"), Error);
 }
 
 TEST(Cli, KibBytesRejectsZeroAndOverflow) {

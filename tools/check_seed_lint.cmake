@@ -5,7 +5,11 @@
 #    seeds share all but one derived stream. util::derive_seed
 #    (src/util/rng.hpp) is the only sanctioned derivation; the lint fails on
 #    any `seed... +` or `+ ...seed` arithmetic in non-comment source (the
-#    churn MTBF expansion in particular leans on it).
+#    churn MTBF expansion in particular leans on it). It also fails on a
+#    seeded constructor (NodeOrdering::random / leaf_random, Xoshiro256,
+#    SplitMix64) whose last argument is literal-plus-index (`1000 + t`,
+#    `t + 7`): the same additive derivation with no identifier saying
+#    "seed". A planted-case self-test keeps that pattern armed.
 #
 # 2. Unordered containers in serialization TUs. Every emitted byte stream in
 #    this repo (certificates, proofs, diagnostics, heatmaps, reports,
@@ -17,6 +21,25 @@
 if(NOT DEFINED REPO_ROOT)
   message(FATAL_ERROR "check_seed_lint.cmake needs -DREPO_ROOT=")
 endif()
+
+set(seeded_literal_plus_index
+    "(NodeOrdering::random|NodeOrdering::leaf_random|Xoshiro256|SplitMix64)([ \t]+[a-zA-Z_][a-zA-Z0-9_]*)?[ \t]*[({]([^(){}]*,)?[ \t]*([0-9]+[uUlL]*[ \t]*\\+[ \t]*[a-zA-Z_][a-zA-Z0-9_.]*|[a-zA-Z_][a-zA-Z0-9_.]*[ \t]*\\+[ \t]*[0-9]+[uUlL]*)[ \t]*[)}]")
+foreach(planted
+        "    const auto o = order::NodeOrdering::random(fabric, 1000 + t);"
+        "  util::Xoshiro256 rng(t + 7u);"
+        "  NodeOrdering::leaf_random(fabric, 5 + trial)")
+  if(NOT planted MATCHES "${seeded_literal_plus_index}")
+    message(FATAL_ERROR "seed lint self-test: planted case not flagged: ${planted}")
+  endif()
+endforeach()
+foreach(sanctioned
+        "  util::Xoshiro256 rng(util::derive_seed(fault.seed, 1 + i));"
+        "  NodeOrdering::random(fabric, util::derive_seed(seed, t))"
+        "  const std::string text = random_text(rng, 1 + rng.below(60));")
+  if(sanctioned MATCHES "${seeded_literal_plus_index}")
+    message(FATAL_ERROR "seed lint self-test: sanctioned case flagged: ${sanctioned}")
+  endif()
+endforeach()
 
 file(GLOB_RECURSE sources RELATIVE ${REPO_ROOT}
      ${REPO_ROOT}/src/*.cpp ${REPO_ROOT}/src/*.hpp
@@ -42,7 +65,8 @@ foreach(rel IN LISTS sources)
     math(EXPR lineno "${lineno} + 1")
     string(REGEX REPLACE "//.*$" "" code "${line}")
     if(code MATCHES "[sS]eed[a-zA-Z0-9_]*[ \t]*\\+" OR
-       code MATCHES "\\+[ \t]*[a-zA-Z0-9_]*[sS]eed([^a-zA-Z0-9_]|$)")
+       code MATCHES "\\+[ \t]*[a-zA-Z0-9_]*[sS]eed([^a-zA-Z0-9_]|$)" OR
+       code MATCHES "${seeded_literal_plus_index}")
       string(APPEND seed_violations "  ${rel}:${lineno}: ${line}\n")
     endif()
     if(writes_json AND code MATCHES "unordered_(map|set)")
