@@ -198,37 +198,6 @@ void report_adaptive(const topo::Fabric& fabric,
   }
 }
 
-void report_credit(const topo::Fabric& fabric,
-                   const CreditLoopAnalysis& credit, bool cdg_acyclic,
-                   Diagnostics& diagnostics) {
-  if (!credit.acyclic) {
-    std::ostringstream oss;
-    oss << "credit flow-control graph has " << credit.cyclic_scc_count
-        << " cyclic SCC(s) over " << credit.num_buffered_channels
-        << " finite-buffered channels; every buffer in the loop can fill "
-           "while waiting on the next — the simulated fabric can wedge. "
-           "Loop: "
-        << cycle_to_string(fabric, credit.cycle);
-    diagnostics.error("credit-loop", "", oss.str());
-  } else {
-    std::ostringstream oss;
-    oss << "credit flow-control graph acyclic: " << credit.num_dependencies
-        << " buffer dependencies over " << credit.num_buffered_channels
-        << " finite-buffered channels (" << credit.host_injection_channels
-        << " host injection links included)";
-    diagnostics.note("credit-loop", "", oss.str());
-  }
-  if (credit.acyclic != cdg_acyclic) {
-    std::ostringstream oss;
-    oss << "credit-loop prover and link-level CDG disagree (credit "
-        << (credit.acyclic ? "acyclic" : "cyclic") << ", CDG "
-        << (cdg_acyclic ? "acyclic" : "cyclic")
-        << "); host injection channels have in-degree 0, so the verdicts "
-           "must coincide — one of the two dependency derivations is wrong";
-    diagnostics.error("credit-cdg-mismatch", "", oss.str());
-  }
-}
-
 void record_metrics(obs::MetricsRegistry& metrics, const CheckReport& report) {
   const Diagnostics& d = report.diagnostics;
   metrics.counter("check.findings.errors").inc(d.errors());
@@ -280,14 +249,6 @@ void record_metrics(obs::MetricsRegistry& metrics, const CheckReport& report) {
         .inc(report.adaptive->relation_choices);
     metrics.gauge("check.adaptive.acyclic")
         .set(report.adaptive->cdg.acyclic ? 1.0 : 0.0);
-  }
-  if (report.credit) {
-    metrics.counter("check.credit.channels")
-        .inc(report.credit->num_buffered_channels);
-    metrics.counter("check.credit.dependencies")
-        .inc(report.credit->num_dependencies);
-    metrics.gauge("check.credit.acyclic")
-        .set(report.credit->acyclic ? 1.0 : 0.0);
   }
 }
 
@@ -401,14 +362,6 @@ CheckReport run_check(const topo::Fabric& fabric,
   if (options.adaptive_closure) {
     report.adaptive = analyze_adaptive_cdg(fabric, tables);
     report_adaptive(fabric, *report.adaptive, report.diagnostics);
-  }
-
-  if (options.credit_loops) {
-    const std::vector<sim::PortBuffer> buffers =
-        sim::PacketSim(fabric, tables).buffer_topology();
-    report.credit = analyze_credit_loops(fabric, tables, buffers);
-    report_credit(fabric, *report.credit, report.cdg.acyclic,
-                  report.diagnostics);
   }
 
   if (options.metrics != nullptr) record_metrics(*options.metrics, report);

@@ -12,8 +12,8 @@
 //      per-stage HSD = 1 witnesses or root-cause blame;
 //   5. optionally, the per-virtual-lane CDG search (check/vl.hpp): the
 //      minimum destination->lane assignment breaking every cycle;
-//   6. optionally, the credit-loop prover (check/credit.hpp) over the packet
-//      simulator's buffer topology, cross-checked against the CDG.
+//   6. optionally, the adaptive-relation CDG (check/cdg.hpp): the same
+//      Dally–Seitz proof over every up-port choice adaptive routing admits.
 //
 // All findings land in one Diagnostics sink with stable rule IDs; the JSON
 // report is deterministic and byte-identical at any --threads count. CI
@@ -24,7 +24,6 @@
 
 #include "check/cdg.hpp"
 #include "check/certify.hpp"
-#include "check/credit.hpp"
 #include "check/diagnostics.hpp"
 #include "check/lint.hpp"
 #include "check/replay.hpp"
@@ -95,9 +94,6 @@ struct CheckOptions {
   /// ascents) instead of just the deterministic tables (rules
   /// cdg-adaptive-ok / cdg-adaptive-cycle).
   bool adaptive_closure = false;
-  /// Run the credit-loop prover over the packet simulator's buffer topology
-  /// (rules credit-loop / credit-cdg-mismatch).
-  bool credit_loops = false;
   /// When set, findings counters and CDG/walk sizes are recorded here.
   obs::MetricsRegistry* metrics = nullptr;
 };
@@ -127,8 +123,6 @@ struct CheckReport {
   std::optional<VlProposal> vl;
   /// Present when CheckOptions::adaptive_closure was set.
   std::optional<AdaptiveCdgAnalysis> adaptive;
-  /// Present when CheckOptions::credit_loops was set.
-  std::optional<CreditLoopAnalysis> credit;
 
   /// Deadlock-freedom was proved (CDG acyclic) and the walks agree.
   [[nodiscard]] bool deadlock_free() const noexcept {

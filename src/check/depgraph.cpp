@@ -5,7 +5,6 @@
 #include <sstream>
 
 #include "routing/adaptive.hpp"
-#include "routing/trace.hpp"
 #include "util/expects.hpp"
 #include "util/thread_pool.hpp"
 
@@ -17,22 +16,23 @@ using topo::PortId;
 
 namespace {
 
-/// True when destination `d` participates under the lane restriction.
-bool lane_match(const DependencyOptions& options, std::uint64_t d) {
-  return options.lane_of_dest.empty() ||
-         options.lane_of_dest[d] == options.lane;
+/// True when `port` sources an up-going link of its node.
+bool is_up_channel(const Fabric& fabric, PortId port) {
+  const topo::Port& pt = fabric.port(port);
+  return pt.index >= fabric.node(pt.node).num_down_ports;
 }
 
-/// Dependencies of one source switch: for every routed destination, the
-/// in-channel that reaches this switch is the switch's own out-channel of
-/// the previous hop — equivalently, every (out-channel here, out-channel at
-/// the next switch) pair. Each pair is marked in an (out-port at u) x
-/// (out-port at the next switch) matrix and emitted row by row; channels
-/// are numbered in PortId order and a node's ports are contiguous and
-/// ascending by index, so the result is ascending and distinct.
-std::vector<std::uint64_t> switch_dependencies(
-    const Fabric& fabric, const route::ForwardingTables& tables,
-    const ChannelIndex& ci, NodeId u, const DependencyOptions& options) {
+/// Dependencies of one source switch u under the candidate function
+/// `outs(switch, dest) -> route::PortRange`: every candidate out-channel of
+/// (u, d) depends on every candidate out-channel of the switch it reaches,
+/// for the same destination. Each pair is marked in an (out-port at u) x
+/// (out-port at the next switch) matrix and emitted row by row; channels are
+/// numbered in PortId order and a node's ports are contiguous and ascending
+/// by index, so the result is ascending and distinct.
+template <typename Outs>
+std::vector<std::uint64_t> switch_dependencies(const Fabric& fabric,
+                                               const ChannelIndex& ci,
+                                               NodeId u, const Outs& outs) {
   const topo::Node& node = fabric.node(u);
   const std::uint32_t radix = node.num_down_ports + node.num_up_ports;
   // The switch behind each out-port of u whose channel is in the universe
@@ -51,12 +51,14 @@ std::vector<std::uint64_t> switch_dependencies(
   std::vector<std::uint8_t> seen(std::size_t{radix} * stride, 0);
   const std::uint64_t n = fabric.num_hosts();
   for (std::uint64_t d = 0; d < n; ++d) {
-    if (!lane_match(options, d)) continue;
-    const std::uint32_t o1 = tables.entry(u, d);
-    if (o1 == route::kUnroutedPort || next[o1] == topo::kInvalidNode)
-      continue;
-    const std::uint32_t o2 = tables.entry(next[o1], d);
-    if (o2 != route::kUnroutedPort) seen[std::size_t{o1} * stride + o2] = 1;
+    const route::PortRange outs_u = outs(u, d);
+    for (std::uint32_t o1 = outs_u.first; o1 < outs_u.first + outs_u.count;
+         ++o1) {
+      if (next[o1] == topo::kInvalidNode) continue;
+      const route::PortRange outs_v = outs(next[o1], d);
+      std::uint8_t* row = seen.data() + std::size_t{o1} * stride;
+      std::fill_n(row + outs_v.first, outs_v.count, std::uint8_t{1});
+    }
   }
   std::vector<std::uint64_t> deps;
   for (std::uint32_t o1 = 0; o1 < radix; ++o1) {
@@ -71,66 +73,57 @@ std::vector<std::uint64_t> switch_dependencies(
   return deps;
 }
 
-/// Host-injection dependencies of one host: its up-going channel(s) depend
-/// on whatever out-channel the leaf switch forwards each destination to.
-std::vector<std::uint64_t> host_dependencies(
-    const Fabric& fabric, const route::ForwardingTables& tables,
-    const ChannelIndex& ci, std::uint64_t h, const DependencyOptions& options) {
-  std::vector<std::uint64_t> deps;
-  const std::uint64_t n = fabric.num_hosts();
-  const NodeId host = fabric.host_node(h);
-  for (std::uint64_t d = 0; d < n; ++d) {
-    if (d == h || !lane_match(options, d)) continue;
-    const std::uint32_t up = route::host_up_port(fabric, h, d);
-    const PortId e1 =
-        fabric.port_id(host, fabric.node(host).num_down_ports + up);
-    const std::uint32_t c1 = ci.dense[e1];
-    if (c1 == kNoChannel) continue;
-    const NodeId v = fabric.port(fabric.port(e1).peer).node;
-    if (fabric.node(v).kind != topo::NodeKind::kSwitch) continue;
-    if (!tables.has_entry(v, d)) continue;
-    const PortId e2 = fabric.port_id(v, tables.out_port(v, d));
-    const std::uint32_t c2 = ci.dense[e2];
-    if (c2 == kNoChannel) continue;
-    deps.push_back((static_cast<std::uint64_t>(c1) << 32) | c2);
-  }
-  std::sort(deps.begin(), deps.end());
-  deps.erase(std::unique(deps.begin(), deps.end()), deps.end());
-  return deps;
+/// Every switch's dependencies under `outs`, built in parallel and
+/// concatenated in switch order. A ChannelIndex numbers only switch-sourced
+/// channels, in PortId order, and every per-switch list is ascending with
+/// its own source channels: the concatenation is already sorted and
+/// distinct.
+template <typename Outs>
+std::vector<std::uint64_t> build_switch_dependencies(const Fabric& fabric,
+                                                     const ChannelIndex& ci,
+                                                     const char* label,
+                                                     const Outs& outs) {
+  const std::span<const NodeId> switches = fabric.switch_ids();
+  auto per_switch = par::parallel_map(
+      switches.size(),
+      [&](std::size_t idx) {
+        return switch_dependencies(fabric, ci, switches[idx], outs);
+      },
+      par::ForOptions{.threads = 0, .grain = 1, .label = label});
+  std::vector<std::uint64_t> all;
+  for (const auto& deps : per_switch)
+    all.insert(all.end(), deps.begin(), deps.end());
+  util::ensures(std::adjacent_find(all.begin(), all.end(),
+                                   std::greater_equal<>()) == all.end(),
+                "switch-ordered dependencies are strictly ascending");
+  return all;
 }
 
-/// Relation analogue of switch_dependencies: every candidate out-channel of
-/// (u, d) depends on every candidate out-channel of the peer switch it
-/// reaches, for the same destination.
-std::vector<std::uint64_t> switch_relation_dependencies(
-    const Fabric& fabric, const route::ForwardingTables& tables,
-    const ChannelIndex& ci, NodeId u) {
-  std::vector<std::uint64_t> deps;
-  const std::uint64_t n = fabric.num_hosts();
-  for (std::uint64_t d = 0; d < n; ++d) {
-    const route::PortRange outs_u =
-        route::adaptive_candidates(fabric, tables, u, d);
-    for (std::uint32_t o1 = outs_u.first; o1 < outs_u.first + outs_u.count;
-         ++o1) {
-      const PortId e1 = fabric.port_id(u, o1);
-      const std::uint32_t c1 = ci.dense[e1];
-      if (c1 == kNoChannel) continue;  // terminates at a host
-      const NodeId v = fabric.port(fabric.port(e1).peer).node;
-      if (fabric.node(v).kind != topo::NodeKind::kSwitch) continue;
-      const route::PortRange outs_v =
-          route::adaptive_candidates(fabric, tables, v, d);
-      for (std::uint32_t o2 = outs_v.first; o2 < outs_v.first + outs_v.count;
-           ++o2) {
-        const PortId e2 = fabric.port_id(v, o2);
-        const std::uint32_t c2 = ci.dense[e2];
-        if (c2 == kNoChannel) continue;
-        deps.push_back((static_cast<std::uint64_t>(c1) << 32) | c2);
+/// The walk inside cyclic component `comp` from its smallest member,
+/// following the smallest in-component successor until a node repeats; the
+/// slice from that node's first visit is a concrete cycle.
+std::vector<std::uint32_t> extract_cycle(const ChannelGraph& graph,
+                                         const SccPartition& sccs,
+                                         std::uint32_t comp) {
+  const auto first = std::find(sccs.comp.begin(), sccs.comp.end(), comp);
+  std::vector<std::uint32_t> path;
+  std::vector<std::uint32_t> pos(graph.num_nodes(), kNoChannel);
+  auto at = static_cast<std::uint32_t>(first - sccs.comp.begin());
+  while (pos[at] == kNoChannel) {
+    pos[at] = static_cast<std::uint32_t>(path.size());
+    path.push_back(at);
+    std::uint32_t next = kNoChannel;
+    for (std::uint32_t e = graph.offsets[at]; e < graph.offsets[at + 1]; ++e) {
+      if (sccs.comp[graph.targets[e]] == comp) {
+        next = graph.targets[e];  // targets ascending: first hit is smallest
+        break;
       }
     }
+    util::expects(next != kNoChannel,
+                  "every member of a cyclic SCC has an in-SCC successor");
+    at = next;
   }
-  std::sort(deps.begin(), deps.end());
-  deps.erase(std::unique(deps.begin(), deps.end()), deps.end());
-  return deps;
+  return {path.begin() + pos[at], path.end()};
 }
 
 }  // namespace
@@ -149,71 +142,31 @@ ChannelIndex switch_channels(const Fabric& fabric) {
   return ci;
 }
 
-ChannelIndex buffered_channels(const Fabric& fabric,
-                               std::span<const std::uint8_t> finite) {
-  util::expects(finite.size() == fabric.num_ports(),
-                "finite-buffer mask must cover every port");
-  ChannelIndex ci;
-  ci.dense.assign(fabric.num_ports(), kNoChannel);
-  for (PortId p = 0; p < fabric.num_ports(); ++p) {
-    if (finite[p] == 0) continue;
-    ci.dense[p] = static_cast<std::uint32_t>(ci.channels.size());
-    ci.channels.push_back(p);
-  }
-  return ci;
-}
-
 std::vector<std::uint64_t> build_dependencies(
     const Fabric& fabric, const route::ForwardingTables& tables,
     const ChannelIndex& ci, const DependencyOptions& options) {
-  const std::span<const NodeId> switches = fabric.switch_ids();
-  auto per_switch = par::parallel_map(
-      switches.size(),
-      [&](std::size_t idx) {
-        return switch_dependencies(fabric, tables, ci, switches[idx], options);
-      },
-      par::ForOptions{.threads = 0, .grain = 1, .label = options.label});
-
-  // Hosts precede switches in NodeId (so PortId and channel) order, and
-  // every per-node list is ascending with its own source channels: the
-  // concatenation in node order is already sorted and distinct.
-  std::vector<std::uint64_t> all;
-  if (options.host_injections) {
-    auto per_host = par::parallel_map(
-        fabric.num_hosts(),
-        [&](std::size_t h) {
-          return host_dependencies(fabric, tables, ci, h, options);
-        },
-        par::ForOptions{.threads = 0, .grain = 16, .label = options.label});
-    for (const auto& deps : per_host)
-      all.insert(all.end(), deps.begin(), deps.end());
-  }
-  for (const auto& deps : per_switch)
-    all.insert(all.end(), deps.begin(), deps.end());
-  util::ensures(std::adjacent_find(all.begin(), all.end(),
-                                   std::greater_equal<>()) == all.end(),
-                "node-ordered dependencies are strictly ascending");
-  return all;
+  // Each switch's row is looked up (and validated) once, not per entry.
+  std::vector<std::span<const std::uint32_t>> rows(fabric.num_nodes());
+  for (const NodeId sw : fabric.switch_ids()) rows[sw] = tables.row(sw);
+  return build_switch_dependencies(
+      fabric, ci, options.label,
+      [&](NodeId sw, std::uint64_t d) -> route::PortRange {
+        const std::uint32_t out = rows[sw][d];
+        if (out == route::kUnroutedPort ||
+            (!options.lane_of_dest.empty() &&
+             options.lane_of_dest[d] != options.lane))
+          return {};
+        return {out, 1};
+      });
 }
 
 std::vector<std::uint64_t> build_relation_dependencies(
     const Fabric& fabric, const route::ForwardingTables& tables,
     const ChannelIndex& ci, const char* label) {
-  const std::span<const NodeId> switches = fabric.switch_ids();
-  auto per_switch = par::parallel_map(
-      switches.size(),
-      [&](std::size_t idx) {
-        return switch_relation_dependencies(fabric, tables, ci,
-                                            switches[idx]);
-      },
-      par::ForOptions{.threads = 0, .grain = 1, .label = label});
-
-  std::vector<std::uint64_t> all;
-  for (const auto& deps : per_switch)
-    all.insert(all.end(), deps.begin(), deps.end());
-  std::sort(all.begin(), all.end());
-  all.erase(std::unique(all.begin(), all.end()), all.end());
-  return all;
+  return build_switch_dependencies(
+      fabric, ci, label, [&](NodeId sw, std::uint64_t d) {
+        return route::adaptive_candidates(fabric, tables, sw, d);
+      });
 }
 
 std::vector<std::uint64_t> destination_dependencies(
@@ -238,6 +191,33 @@ std::vector<std::uint64_t> destination_dependencies(
   return deps;
 }
 
+CdgAnalysis analyze_dependencies(const Fabric& fabric, const ChannelIndex& ci,
+                                 const std::vector<std::uint64_t>& deps) {
+  CdgAnalysis analysis;
+  analysis.num_channels = ci.size();
+  analysis.num_dependencies = deps.size();
+  for (const std::uint64_t packed : deps) {
+    const PortId from = ci.channels[packed >> 32];
+    const PortId to = ci.channels[packed & 0xffffffffu];
+    if (!is_up_channel(fabric, from) && is_up_channel(fabric, to))
+      ++analysis.down_up_turns;
+  }
+
+  const ChannelGraph graph = build_graph(ci.size(), deps);
+  const SccPartition sccs = scc_partition(graph);
+  std::uint32_t first_cyclic = kNoChannel;
+  for (std::uint32_t comp = 0; comp < sccs.comp_size.size(); ++comp) {
+    if (sccs.comp_size[comp] < 2) continue;
+    if (analysis.cyclic_scc_count++ == 0) first_cyclic = comp;
+  }
+  analysis.acyclic = analysis.cyclic_scc_count == 0;
+  if (!analysis.acyclic) {
+    for (const std::uint32_t dense : extract_cycle(graph, sccs, first_cyclic))
+      analysis.cycle.push_back(ci.channels[dense]);
+  }
+  return analysis;
+}
+
 ChannelGraph build_graph(std::size_t num_channels,
                          const std::vector<std::uint64_t>& deps) {
   ChannelGraph graph;
@@ -252,9 +232,10 @@ ChannelGraph build_graph(std::size_t num_channels,
   return graph;
 }
 
-SccSummary find_cyclic_sccs(const ChannelGraph& graph) {
+SccPartition scc_partition(const ChannelGraph& graph) {
   const std::size_t num_nodes = graph.num_nodes();
-  SccSummary result;
+  SccPartition result;
+  result.comp.assign(num_nodes, kNoChannel);
   std::vector<std::uint32_t> index(num_nodes, kNoChannel);
   std::vector<std::uint32_t> lowlink(num_nodes, 0);
   std::vector<std::uint8_t> on_stack(num_nodes, 0);
@@ -291,19 +272,17 @@ SccSummary find_cyclic_sccs(const ChannelGraph& graph) {
       }
       // v is fully explored: close its SCC if it is a root.
       if (lowlink[v] == index[v]) {
-        std::vector<std::uint32_t> members;
+        const auto id = static_cast<std::uint32_t>(result.comp_size.size());
+        std::uint32_t members = 0;
         while (true) {
           const std::uint32_t w = stack.back();
           stack.pop_back();
           on_stack[w] = 0;
-          members.push_back(w);
+          result.comp[w] = id;
+          ++members;
           if (w == v) break;
         }
-        if (members.size() > 1) {  // self-loops cannot occur in a CDG
-          ++result.cyclic_sccs;
-          if (result.first_cycle_members.empty())
-            result.first_cycle_members = std::move(members);
-        }
+        result.comp_size.push_back(members);
       }
       frames.pop_back();
       if (!frames.empty())
@@ -312,34 +291,6 @@ SccSummary find_cyclic_sccs(const ChannelGraph& graph) {
     }
   }
   return result;
-}
-
-std::vector<std::uint32_t> extract_cycle(const ChannelGraph& graph,
-                                         const std::vector<std::uint32_t>& scc) {
-  std::vector<std::uint8_t> member(graph.num_nodes(), 0);
-  std::uint32_t start = scc.front();
-  for (const std::uint32_t v : scc) {
-    member[v] = 1;
-    start = std::min(start, v);
-  }
-  std::vector<std::uint32_t> path;
-  std::vector<std::uint32_t> pos(graph.num_nodes(), kNoChannel);
-  std::uint32_t at = start;
-  while (pos[at] == kNoChannel) {
-    pos[at] = static_cast<std::uint32_t>(path.size());
-    path.push_back(at);
-    std::uint32_t next = kNoChannel;
-    for (std::uint32_t e = graph.offsets[at]; e < graph.offsets[at + 1]; ++e) {
-      if (member[graph.targets[e]] != 0) {
-        next = graph.targets[e];  // targets ascending: first hit is smallest
-        break;
-      }
-    }
-    util::expects(next != kNoChannel,
-                  "every member of a cyclic SCC has an in-SCC successor");
-    at = next;
-  }
-  return {path.begin() + pos[at], path.end()};
 }
 
 bool dependencies_acyclic(std::size_t num_channels,
@@ -372,11 +323,6 @@ bool dependencies_acyclic(std::size_t num_channels,
     }
   }
   return true;
-}
-
-bool is_up_channel(const Fabric& fabric, PortId port) {
-  const topo::Port& pt = fabric.port(port);
-  return pt.index >= fabric.node(pt.node).num_down_ports;
 }
 
 std::string channel_to_string(const Fabric& fabric, PortId port) {

@@ -200,8 +200,6 @@ std::span<const std::string_view> known_rule_ids() noexcept {
       "cert-telemetry-mismatch",
       "cert-telemetry-ok",
       "cps-displacement",
-      "credit-cdg-mismatch",
-      "credit-loop",
       "hsd-violation",
       "lft-incomplete",
       "order-mismatch",

@@ -204,8 +204,9 @@ void IncrementalCertifier::index_path_links(std::uint64_t dest,
     std::vector<std::uint64_t>& keys = link_paths_[pid];
     const auto it = std::lower_bound(keys.begin(), keys.end(), packed);
     const bool found = it != keys.end() && *it == packed;
-    // Insert-if-absent / erase-if-found keeps a link repeated inside one
-    // path as a single key, mirroring the build-time dedup.
+    // Insert-if-absent / erase-if-found keeps the link_paths_ invariant:
+    // each path's key appears at most once per link, however often that
+    // path crosses it, and every list stays sorted.
     if (add && !found)
       keys.insert(it, packed);
     else if (!add && found)

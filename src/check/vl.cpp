@@ -11,7 +11,6 @@
 namespace ftcf::check {
 
 using topo::Fabric;
-using topo::PortId;
 
 VlCdgAnalysis analyze_cdg_per_vl(const Fabric& fabric,
                                  const route::ForwardingTables& tables,
@@ -23,32 +22,13 @@ VlCdgAnalysis analyze_cdg_per_vl(const Fabric& fabric,
   VlCdgAnalysis analysis;
   analysis.lanes.reserve(assignment.num_lanes);
   for (std::uint32_t lane = 0; lane < assignment.num_lanes; ++lane) {
-    CdgAnalysis per_lane;
-    per_lane.num_channels = ci.size();
-    if (!ci.empty()) {
-      const std::vector<std::uint64_t> deps = build_dependencies(
-          fabric, tables, ci,
-          DependencyOptions{.lane_of_dest = assignment.lane_of_dest,
-                            .lane = lane,
-                            .label = "check.vl"});
-      per_lane.num_dependencies = deps.size();
-      for (const std::uint64_t packed : deps) {
-        const PortId from = ci.channels[packed >> 32];
-        const PortId to = ci.channels[packed & 0xffffffffu];
-        if (!is_up_channel(fabric, from) && is_up_channel(fabric, to))
-          ++per_lane.down_up_turns;
-      }
-      const ChannelGraph graph = build_graph(ci.size(), deps);
-      const SccSummary sccs = find_cyclic_sccs(graph);
-      per_lane.cyclic_scc_count = sccs.cyclic_sccs;
-      per_lane.acyclic = sccs.cyclic_sccs == 0;
-      if (!per_lane.acyclic) {
-        for (const std::uint32_t dense :
-             extract_cycle(graph, sccs.first_cycle_members))
-          per_lane.cycle.push_back(ci.channels[dense]);
-      }
-    }
-    analysis.lanes.push_back(std::move(per_lane));
+    analysis.lanes.push_back(analyze_dependencies(
+        fabric, ci,
+        build_dependencies(
+            fabric, tables, ci,
+            DependencyOptions{.lane_of_dest = assignment.lane_of_dest,
+                              .lane = lane,
+                              .label = "check.vl"})));
   }
   return analysis;
 }

@@ -14,74 +14,6 @@ namespace {
 
 constexpr std::uint32_t kNone = static_cast<std::uint32_t>(-1);
 
-/// Full SCC partition of a channel graph: component id per node plus member
-/// counts (find_cyclic_sccs stops at the first cyclic component; the hazard
-/// classification below needs them all).
-struct SccPartition {
-  std::vector<std::uint32_t> comp;
-  std::vector<std::uint32_t> comp_size;
-};
-
-SccPartition scc_partition(const ChannelGraph& graph) {
-  const std::size_t num_nodes = graph.num_nodes();
-  SccPartition result;
-  result.comp.assign(num_nodes, kNone);
-  std::vector<std::uint32_t> index(num_nodes, kNone);
-  std::vector<std::uint32_t> lowlink(num_nodes, 0);
-  std::vector<std::uint8_t> on_stack(num_nodes, 0);
-  std::vector<std::uint32_t> stack;
-  std::uint32_t next_index = 0;
-
-  struct Frame {
-    std::uint32_t v;
-    std::uint32_t edge;
-  };
-  std::vector<Frame> frames;
-
-  for (std::uint32_t root = 0; root < num_nodes; ++root) {
-    if (index[root] != kNone) continue;
-    frames.push_back({root, graph.offsets[root]});
-    index[root] = lowlink[root] = next_index++;
-    stack.push_back(root);
-    on_stack[root] = 1;
-
-    while (!frames.empty()) {
-      Frame& frame = frames.back();
-      const std::uint32_t v = frame.v;
-      if (frame.edge < graph.offsets[v + 1]) {
-        const std::uint32_t w = graph.targets[frame.edge++];
-        if (index[w] == kNone) {
-          index[w] = lowlink[w] = next_index++;
-          stack.push_back(w);
-          on_stack[w] = 1;
-          frames.push_back({w, graph.offsets[w]});
-        } else if (on_stack[w] != 0) {
-          lowlink[v] = std::min(lowlink[v], index[w]);
-        }
-        continue;
-      }
-      if (lowlink[v] == index[v]) {
-        const auto id = static_cast<std::uint32_t>(result.comp_size.size());
-        std::uint32_t members = 0;
-        while (true) {
-          const std::uint32_t w = stack.back();
-          stack.pop_back();
-          on_stack[w] = 0;
-          result.comp[w] = id;
-          ++members;
-          if (w == v) break;
-        }
-        result.comp_size.push_back(members);
-      }
-      frames.pop_back();
-      if (!frames.empty())
-        lowlink[frames.back().v] =
-            std::min(lowlink[frames.back().v], lowlink[v]);
-    }
-  }
-  return result;
-}
-
 std::vector<std::uint64_t> merge_edges(const std::vector<std::uint64_t>& a,
                                        const std::vector<std::uint64_t>& b) {
   std::vector<std::uint64_t> out;

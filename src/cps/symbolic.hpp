@@ -65,8 +65,10 @@ struct StageAlgebra {
   StageRole role = StageRole::kExchange;
 };
 
-/// Closed-form descriptor of a whole sequence (name/num_ranks mirror
-/// cps::Sequence so certificates derived from either are interchangeable).
+/// Closed-form descriptor of a whole sequence. `name` and `num_ranks` hold
+/// the cps::Sequence values unchanged: they are the only sequence fields a
+/// certificate copies, so the symbolic and enumerative certificates of one
+/// sequence agree byte for byte.
 struct SequenceAlgebra {
   std::string name;
   std::uint64_t num_ranks = 0;

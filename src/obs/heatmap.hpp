@@ -11,10 +11,9 @@
 // meta — so `ftcf_tool simulate --heatmap` output is byte-identical at any
 // --threads count.
 //
-// obs stays topology-agnostic: link speeds arrive through the optional
-// LinkInfo table (the tool derives it from sim::buffer_topology()), and a
-// missing table simply leaves util derived from busy time over the stage
-// window, which is exact for the packet sim's serialization spans.
+// obs stays topology-agnostic: no link speed enters the fold. util is busy
+// time over the stage window, which is exact for the packet sim's
+// serialization spans.
 #pragma once
 
 #include <cstdint>

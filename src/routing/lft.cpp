@@ -35,6 +35,11 @@ std::uint32_t ForwardingTables::entry(topo::NodeId sw,
   return table_[slot(sw, dest)];
 }
 
+std::span<const std::uint32_t> ForwardingTables::row(topo::NodeId sw) const {
+  return std::span<const std::uint32_t>(table_).subspan(slot(sw, 0),
+                                                        num_hosts_);
+}
+
 void ForwardingTables::set_out_port(topo::NodeId sw, std::uint64_t dest,
                                     std::uint32_t port) {
   const topo::Node& n = fabric_->node(sw);

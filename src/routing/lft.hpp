@@ -3,6 +3,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "topology/fabric.hpp"
@@ -22,6 +23,10 @@ class ForwardingTables {
   /// The (switch, destination) entry as stored: its out-port index, or
   /// kUnroutedPort when it was never programmed.
   [[nodiscard]] std::uint32_t entry(topo::NodeId sw, std::uint64_t dest) const;
+
+  /// Every stored entry of `sw`, indexed by destination host: one validated
+  /// lookup for a scan that would otherwise call entry() per destination.
+  [[nodiscard]] std::span<const std::uint32_t> row(topo::NodeId sw) const;
 
   void set_out_port(topo::NodeId sw, std::uint64_t dest, std::uint32_t port);
 

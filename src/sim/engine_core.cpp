@@ -332,9 +332,17 @@ class Core {
       lp->queues.resize(ports);
       lp->rate.reserve(ports);
       for (PortId pid = 0; pid < ports; ++pid) {
-        const PortBuffer buffer = engine_port_buffer(fabric_, cfg_.calib, pid);
-        lp->credits[pid] = buffer.credits;
-        lp->rate.push_back(buffer.rate_bytes_per_sec);
+        // A link into a switch lands in a finite input buffer; the host
+        // sink never blocks. Host-attached links run at the PCIe rate.
+        const topo::Port& pt = fabric_.port(pid);
+        const NodeKind from = fabric_.node(pt.node).kind;
+        const NodeKind to = fabric_.node(fabric_.port(pt.peer).node).kind;
+        lp->credits[pid] = to == NodeKind::kSwitch
+                               ? cfg_.calib.input_buffer_packets
+                               : std::numeric_limits<std::uint32_t>::max() / 2;
+        lp->rate.push_back(from == NodeKind::kHost || to == NodeKind::kHost
+                               ? cfg_.calib.host_bw_bytes_per_sec
+                               : cfg_.calib.link_bw_bytes_per_sec);
       }
       lp->cursors.resize(fabric_.num_hosts());
       lp->retx_q.resize(fabric_.num_hosts());
@@ -1412,22 +1420,6 @@ class Core {
 };
 
 }  // namespace
-
-PortBuffer engine_port_buffer(const Fabric& fabric, const Calibration& calib,
-                              PortId pid) {
-  const topo::Port& pt = fabric.port(pid);
-  const topo::Port& peer = fabric.port(pt.peer);
-  const bool to_switch = fabric.node(peer.node).kind == NodeKind::kSwitch;
-  const bool host_side = fabric.node(pt.node).kind == NodeKind::kHost ||
-                         fabric.node(peer.node).kind == NodeKind::kHost;
-  PortBuffer buffer;
-  buffer.finite = to_switch;
-  buffer.credits = to_switch ? calib.input_buffer_packets
-                             : std::numeric_limits<std::uint32_t>::max() / 2;
-  buffer.rate_bytes_per_sec =
-      host_side ? calib.host_bw_bytes_per_sec : calib.link_bw_bytes_per_sec;
-  return buffer;
-}
 
 RunResult run_core(const EngineConfig& cfg, const PartitionMap& map,
                    const std::vector<StageTraffic>& stages,

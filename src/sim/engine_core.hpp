@@ -19,12 +19,6 @@
 
 namespace ftcf::sim::detail {
 
-/// The per-port credit grant / rate the engine initializes from and
-/// buffer_topology() exposes to the static credit-loop prover.
-[[nodiscard]] PortBuffer engine_port_buffer(const topo::Fabric& fabric,
-                                            const Calibration& calib,
-                                            topo::PortId pid);
-
 /// Run the simulation over `map` (1 partition = serial loop, >1 = windowed
 /// conservative PDES). `stats` receives the window/channel counts.
 [[nodiscard]] RunResult run_core(const EngineConfig& cfg,

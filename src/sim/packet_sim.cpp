@@ -19,14 +19,6 @@ PacketSim::PacketSim(const topo::Fabric& fabric,
   cfg_.calib = calibration;
 }
 
-std::vector<PortBuffer> PacketSim::buffer_topology() const {
-  std::vector<PortBuffer> out;
-  out.reserve(cfg_.fabric->num_ports());
-  for (topo::PortId pid = 0; pid < cfg_.fabric->num_ports(); ++pid)
-    out.push_back(detail::engine_port_buffer(*cfg_.fabric, cfg_.calib, pid));
-  return out;
-}
-
 RunResult PacketSim::run(const std::vector<StageTraffic>& stages,
                          Progression progression, std::uint64_t event_limit) {
   const PartitionMap map =

@@ -67,17 +67,6 @@ namespace ftcf::sim {
 /// RunResult reports the reordering it caused.
 enum class UpSelection { kDeterministic, kAdaptive };
 
-/// Static description of one directed link's receive side as the credit
-/// flow control configures it: the initial credit grant and whether that
-/// grant models a finite input buffer (links into switches) or the
-/// effectively-unbounded host sink. Indexed by the *source* PortId of the
-/// link, like every per-channel quantity in the simulator.
-struct PortBuffer {
-  std::uint32_t credits = 0;          ///< initial credit grant, in packets
-  bool finite = false;                ///< true: finite input buffer (can block)
-  double rate_bytes_per_sec = 0.0;    ///< pristine drain rate of the link
-};
-
 /// Retry policy for resilient runs (transport-level, IB-RC-style semantics).
 /// A packet's timeout is armed when it goes on the wire; on expiry the source
 /// re-injects a copy with exponential backoff (timeout_ns << attempts so
@@ -187,14 +176,6 @@ class PacketSim {
     cfg_.resilience = policy;
     cfg_.resilience_forced = true;
   }
-
-  /// The port-buffer topology the credit flow control runs over, indexed by
-  /// source PortId — exactly the per-port credit grants and rates the engine
-  /// initializes itself with, exposed for static analysis (the credit-loop
-  /// prover in ftcf::check). Reflects the pristine calibration: fault-state
-  /// rate factors apply at run time and never change which buffers are
-  /// finite. Pure accessor; no simulation state is created or touched.
-  [[nodiscard]] std::vector<PortBuffer> buffer_topology() const;
 
   /// Simulate the workload to completion and report aggregate metrics.
   /// `event_limit` guards against runaway configurations (enforced at window

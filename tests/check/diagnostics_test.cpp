@@ -132,11 +132,13 @@ TEST(Diagnostics, KnownRuleCatalogAnswersMembership) {
   EXPECT_TRUE(is_known_rule("hsd-violation"));
   EXPECT_TRUE(is_known_rule("cert-ok"));
   EXPECT_TRUE(is_known_rule("vl-assignment"));
-  EXPECT_TRUE(is_known_rule("credit-cdg-mismatch"));
+  EXPECT_TRUE(is_known_rule("cdg-adaptive-cycle"));
   EXPECT_TRUE(is_known_rule("blame-order-mismatch"))
       << "blame-<rule> cross-references are known iff <rule> is";
   EXPECT_FALSE(is_known_rule("blame-no-such-rule"));
   EXPECT_FALSE(is_known_rule("no-such-rule"));
+  EXPECT_FALSE(is_known_rule("credit-loop")) << "retired rule";
+  EXPECT_FALSE(is_known_rule("credit-cdg-mismatch")) << "retired rule";
   EXPECT_FALSE(is_known_rule(""));
   for (const std::string_view rule : known_rule_ids())
     EXPECT_TRUE(is_known_rule(rule)) << rule;

@@ -40,7 +40,6 @@ const std::set<std::string> kUnreachableByConstruction = {
     "cdg-walk-mismatch",
     "cert-symbolic-mismatch",
     "cert-telemetry-mismatch",
-    "credit-cdg-mismatch",
     "rlft-parallel-ports",
 };
 
@@ -145,7 +144,6 @@ TEST(Rules, BatteryCoversTheWholeCatalog) {
     options.propose_vls = 1;
     options.prove_vl_optimal = true;
     options.adaptive_closure = true;
-    options.credit_loops = true;
     collect(run_check(fig4b, tables, options), emitted);
   }
   {  // Adversarial ring ordering: contention blame.

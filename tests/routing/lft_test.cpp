@@ -26,6 +26,20 @@ TEST(ForwardingTables, SetThenGet) {
   EXPECT_EQ(tables.out_port(sw, 5), 7u);
 }
 
+TEST(ForwardingTables, RowHoldsEveryStoredEntry) {
+  const Fabric fabric(topo::fig4b_pgft16());
+  ForwardingTables tables(fabric);
+  const topo::NodeId sw = fabric.switch_node(1, 2);
+  tables.set_out_port(sw, 5, 7);
+  const std::span<const std::uint32_t> row = tables.row(sw);
+  ASSERT_EQ(row.size(), fabric.num_hosts());
+  for (std::uint64_t d = 0; d < fabric.num_hosts(); ++d)
+    EXPECT_EQ(row[d], tables.entry(sw, d)) << "dest " << d;
+  EXPECT_EQ(row[5], 7u);
+  EXPECT_THROW((void)tables.row(fabric.host_node(0)),
+               util::PreconditionError);
+}
+
 TEST(ForwardingTables, RejectsHostLookups) {
   const Fabric fabric(topo::fig4b_pgft16());
   ForwardingTables tables(fabric);

@@ -476,7 +476,7 @@ int cmd_check(int argc, const char* const* argv) {
   util::Cli cli("ftcf_tool check",
                 "static analysis: CDG deadlock proof, walk cross-check, "
                 "RLFT/theorem-precondition lints, contention-freedom "
-                "certificates, per-VL and credit-loop provers");
+                "certificates, per-VL and adaptive-relation provers");
   add_fabric_options(cli);
   cli.add_option("router", "dmodk|ftree|updown|random", "dmodk");
   cli.add_option("seed", "random-router seed", "1");
@@ -517,8 +517,6 @@ int cmd_check(int argc, const char* const* argv) {
                "adaptive routing relation — deterministic descents, any "
                "minimal up-port ascent (rules cdg-adaptive-ok / "
                "cdg-adaptive-cycle)");
-  cli.add_flag("credit-loops", "prove the packet simulator's credit "
-               "flow-control graph loop-free, cross-checked against the CDG");
   cli.add_option("write-baseline", "write a suppression baseline covering "
                  "the current findings ('-' = skip)", "-");
   cli.add_flag("strict", "treat warnings as failures (exit 1)");
@@ -589,7 +587,6 @@ int cmd_check(int argc, const char* const* argv) {
     throw util::Error("--prove-optimal supports at most 64 lanes");
   options.vl_node_budget = cli.uinteger("vl-node-budget");
   options.adaptive_closure = cli.flag("adaptive");
-  options.credit_loops = cli.flag("credit-loops");
 
   const check::CheckReport report = check::run_check(fabric, tables, options);
 
@@ -648,12 +645,6 @@ int cmd_check(int argc, const char* const* argv) {
                       ? "acyclic (deadlock-free for any up-port policy)"
                       : "CYCLIC (adaptive deadlock hazard)")
               << '\n';
-  if (report.credit)
-    std::cout << "credit: " << report.credit->num_dependencies
-              << " buffer dependencies over "
-              << report.credit->num_buffered_channels
-              << " finite-buffered channels, "
-              << (report.credit->acyclic ? "loop-free" : "LOOPED") << '\n';
   if (report.certificate && cli.str("cert-out") != "-") {
     std::ofstream os(cli.str("cert-out"));
     if (!os)
