@@ -145,9 +145,7 @@ ChannelIndex switch_channels(const Fabric& fabric) {
 std::vector<std::uint64_t> build_dependencies(
     const Fabric& fabric, const route::ForwardingTables& tables,
     const ChannelIndex& ci, const DependencyOptions& options) {
-  // Each switch's row is looked up (and validated) once, not per entry.
-  std::vector<std::span<const std::uint32_t>> rows(fabric.num_nodes());
-  for (const NodeId sw : fabric.switch_ids()) rows[sw] = tables.row(sw);
+  const auto rows = tables.rows();
   return build_switch_dependencies(
       fabric, ci, options.label,
       [&](NodeId sw, std::uint64_t d) -> route::PortRange {
@@ -163,25 +161,30 @@ std::vector<std::uint64_t> build_dependencies(
 std::vector<std::uint64_t> build_relation_dependencies(
     const Fabric& fabric, const route::ForwardingTables& tables,
     const ChannelIndex& ci, const char* label) {
+  const auto rows = tables.rows();
   return build_switch_dependencies(
       fabric, ci, label, [&](NodeId sw, std::uint64_t d) {
-        return route::adaptive_candidates(fabric, tables, sw, d);
+        return route::adaptive_candidates(fabric, sw, d, rows[sw][d]);
       });
 }
 
 std::vector<std::uint64_t> destination_dependencies(
-    const Fabric& fabric, const route::ForwardingTables& tables,
+    const Fabric& fabric,
+    const std::vector<std::span<const std::uint32_t>>& rows,
     const ChannelIndex& ci, std::uint64_t dest) {
+  util::expects(dest < fabric.num_hosts(), "destination out of range");
   std::vector<std::uint64_t> deps;
   for (const NodeId u : fabric.switch_ids()) {
-    if (!tables.has_entry(u, dest)) continue;
-    const PortId e1 = fabric.port_id(u, tables.out_port(u, dest));
+    const std::uint32_t o1 = rows[u][dest];
+    if (o1 == route::kUnroutedPort) continue;
+    const PortId e1 = fabric.node(u).first_port + o1;
     const std::uint32_t c1 = ci.dense[e1];
     if (c1 == kNoChannel) continue;
     const NodeId v = fabric.port(fabric.port(e1).peer).node;
     if (fabric.node(v).kind != topo::NodeKind::kSwitch) continue;
-    if (!tables.has_entry(v, dest)) continue;
-    const PortId e2 = fabric.port_id(v, tables.out_port(v, dest));
+    const std::uint32_t o2 = rows[v][dest];
+    if (o2 == route::kUnroutedPort) continue;
+    const PortId e2 = fabric.node(v).first_port + o2;
     const std::uint32_t c2 = ci.dense[e2];
     if (c2 == kNoChannel) continue;
     deps.push_back((static_cast<std::uint64_t>(c1) << 32) | c2);

@@ -64,8 +64,10 @@ struct DependencyOptions {
 
 /// Dependencies a single destination's table entries contribute, sorted
 /// ascending (the incremental unit of the greedy VL-assignment search).
+/// `rows` is ForwardingTables::rows(), built once for every destination.
 [[nodiscard]] std::vector<std::uint64_t> destination_dependencies(
-    const topo::Fabric& fabric, const route::ForwardingTables& tables,
+    const topo::Fabric& fabric,
+    const std::vector<std::span<const std::uint32_t>>& rows,
     const ChannelIndex& ci, std::uint64_t dest);
 
 /// build_dependencies generalized from a forwarding function to the

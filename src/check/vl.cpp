@@ -54,10 +54,11 @@ VlAssignment propose_vl_assignment(
   // Per-destination dependency sets in parallel; the greedy placement below
   // is serial and ascending in destination, so the proposal is identical at
   // any thread count.
+  const auto rows = tables.rows();
   auto per_dest = par::parallel_map(
       n,
       [&](std::size_t d) {
-        return destination_dependencies(fabric, tables, ci, d);
+        return destination_dependencies(fabric, rows, ci, d);
       },
       par::ForOptions{.threads = 0, .grain = 16, .label = "check.vl.propose"});
 

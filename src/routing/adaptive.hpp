@@ -29,18 +29,16 @@ namespace ftcf::route {
 struct PortRange {
   std::uint32_t first = 0;
   std::uint32_t count = 0;
-
-  [[nodiscard]] constexpr bool contains(std::uint32_t port) const noexcept {
-    return port - first < count;  // unsigned wrap rejects port < first
-  }
 };
 
 /// The out-ports (on `sw`) a packet for host `dest` may leave through under
-/// adaptive minimal routing. Allocation-free; safe to call concurrently.
+/// adaptive minimal routing, given the stored LFT entry of (sw, dest) — its
+/// out-port or kUnroutedPort (callers scanning many entries read them from
+/// ForwardingTables::row). Allocation-free; safe to call concurrently.
 [[nodiscard]] PortRange adaptive_candidates(const topo::Fabric& fabric,
-                                            const ForwardingTables& tables,
                                             topo::NodeId sw,
-                                            std::uint64_t dest);
+                                            std::uint64_t dest,
+                                            std::uint32_t entry);
 
 /// Aggregate size of the relation — how much wider it is than a function.
 struct AdaptiveRelationStats {

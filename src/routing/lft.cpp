@@ -40,6 +40,12 @@ std::span<const std::uint32_t> ForwardingTables::row(topo::NodeId sw) const {
                                                         num_hosts_);
 }
 
+std::vector<std::span<const std::uint32_t>> ForwardingTables::rows() const {
+  std::vector<std::span<const std::uint32_t>> out(fabric_->num_nodes());
+  for (const topo::NodeId sw : fabric_->switch_ids()) out[sw] = row(sw);
+  return out;
+}
+
 void ForwardingTables::set_out_port(topo::NodeId sw, std::uint64_t dest,
                                     std::uint32_t port) {
   const topo::Node& n = fabric_->node(sw);

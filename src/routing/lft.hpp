@@ -28,6 +28,10 @@ class ForwardingTables {
   /// lookup for a scan that would otherwise call entry() per destination.
   [[nodiscard]] std::span<const std::uint32_t> row(topo::NodeId sw) const;
 
+  /// row() of every switch, indexed by NodeId (hosts get an empty span):
+  /// whole-table scans validate each switch once instead of every entry.
+  [[nodiscard]] std::vector<std::span<const std::uint32_t>> rows() const;
+
   void set_out_port(topo::NodeId sw, std::uint64_t dest, std::uint32_t port);
 
   /// True when the (switch, destination) entry has been programmed.

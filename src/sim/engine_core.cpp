@@ -27,9 +27,11 @@
 #include "sim/engine_core.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <deque>
 #include <limits>
 #include <memory>
+#include <span>
 #include <tuple>
 #include <utility>
 
@@ -89,7 +91,7 @@ struct Ev {
                     ///< primary endpoint (counts the flap once)
 };
 
-/// Canonical tie key — see typed_queue.hpp's KeyedEventQueue.
+/// Canonical tie key — see keyed_queue.hpp's KeyedEventQueue.
 struct EvKeyFn {
   [[nodiscard]] std::tuple<std::uint8_t, std::uint32_t, std::uint32_t,
                            std::uint32_t>
@@ -215,6 +217,10 @@ struct Lp {
   std::vector<bool> busy;                ///< per source port
   std::vector<std::uint32_t> credits;    ///< per source port
   std::vector<std::uint32_t> rr;         ///< per switch output port
+  /// Per switch output port, req_words_ words: bit i marks input port i of
+  /// the switch whose head may leave through this port.
+  std::vector<std::uint64_t> requests;
+  std::vector<route::PortRange> head_outs;  ///< per input port: marked outs
   std::vector<double> rate;              ///< per source port (bytes/s)
   std::vector<SimTime> busy_ns;          ///< per source port: tx time carried
   std::vector<std::uint32_t> max_depth;  ///< per input port: queue watermark
@@ -270,7 +276,8 @@ class Core {
         stages_(stages),
         progression_(progression),
         num_parts_(map.num_partitions),
-        lookahead_(cfg.calib.cable_latency_ns) {
+        lookahead_(cfg.calib.cable_latency_ns),
+        rows_(tables_.rows()) {
     resilient_ = cfg_.resilience_forced ||
                  (cfg_.faults != nullptr && !cfg_.faults->pristine());
     if (resilient_) {
@@ -283,6 +290,12 @@ class Core {
               "fault state resolved against a different fabric");
     }
     sampling_ = cfg_.obs.sampling();
+    std::uint32_t radix = 1;
+    for (const topo::NodeId sw : fabric_.switch_ids()) {
+      const topo::Node& n = fabric_.node(sw);
+      radix = std::max(radix, n.num_down_ports + n.num_up_ports);
+    }
+    req_words_ = (radix + 63) / 64;
     if (num_parts_ > 1) {
       expects(lookahead_ >= 1,
               "partitioned simulation requires cable_latency_ns >= 1 (the "
@@ -327,6 +340,8 @@ class Core {
       lp->busy.assign(ports, false);
       lp->credits.assign(ports, 0);
       lp->rr.assign(ports, 0);
+      lp->requests.assign(std::size_t{ports} * req_words_, 0);
+      lp->head_outs.assign(ports, {});
       lp->busy_ns.assign(ports, 0);
       lp->max_depth.assign(ports, 0);
       lp->queues.resize(ports);
@@ -620,65 +635,98 @@ class Core {
     if (queue.size() == 1) kick_head(lp, pt.node, in_port);
   }
 
-  /// Arbitration entry for the head of one input queue: try every output
-  /// the head may leave through. Every packet passes through here exactly
-  /// when it becomes a head, so this is also where resilient runs drop
-  /// packets that can never leave — no legal out-port, or every legal
-  /// out-port dead with no scheduled revival — instead of wedging the queue
-  /// behind them. Heads parked on a dead-but-revivable port simply wait; the
-  /// kLinkUp event re-arbitrates. Deterministic heads follow the LFT entry;
-  /// adaptive heads take any port of route::adaptive_candidates, the same
-  /// relation the adaptive CDG prover checks.
+  /// Arbitration entry for the head of one input queue: record the outputs
+  /// the head may leave through in their request masks, then try each. Every
+  /// packet passes through here exactly when it becomes a head, so this is
+  /// also where resilient runs drop packets that can never leave — no legal
+  /// out-port, or every legal out-port dead with no scheduled revival —
+  /// instead of wedging the queue behind them. Heads parked on a
+  /// dead-but-revivable port stay marked and wait; the kLinkUp event
+  /// re-arbitrates. Deterministic heads follow the LFT entry; adaptive heads
+  /// take any port of route::adaptive_candidates, the same relation the
+  /// adaptive CDG prover checks.
   void kick_head(Lp& lp, topo::NodeId sw, PortId in_port) {
+    const topo::Node& node = fabric_.node(sw);
     auto& queue = lp.queues[in_port];
     while (!queue.empty()) {
-      const Packet pkt = queue.front();
+      const std::uint32_t dst = queue.front().dst;
+      const std::uint32_t entry = rows_[sw][dst];
       if (cfg_.up_selection == UpSelection::kDeterministic) {
-        if (resilient_ && !tables_.has_entry(sw, pkt.dst)) {
-          drop_head(lp, in_port, in_port);
+        if (entry == route::kUnroutedPort) {
+          expects(resilient_, "LFT entry was never programmed");
+          drop_head(lp, node, in_port, in_port);
           continue;
         }
-        const PortId out = route_port(sw, pkt.dst);
-        if (resilient_ && lp.dead[out] != 0) {
-          if (lp.revives_at[out] == kNever) {
-            drop_head(lp, in_port, out);
-            continue;
-          }
-          return;  // parked until the scheduled revival re-kicks this queue
+        const PortId out = node.first_port + entry;
+        if (resilient_ && lp.dead[out] != 0 && lp.revives_at[out] == kNever) {
+          drop_head(lp, node, in_port, out);
+          continue;
         }
-        try_forward(lp, out);
+        mark_requests(lp, node, in_port, {entry, 1});
+        try_forward(lp, out);  // a dead output grants nothing: parked
         return;
       }
       const route::PortRange cand =
-          route::adaptive_candidates(fabric_, tables_, sw, pkt.dst);
-      bool any_alive = false;
-      bool revivable = false;
-      for (std::uint32_t i = cand.first; i < cand.first + cand.count; ++i) {
-        const PortId out = fabric_.port_id(sw, i);
-        if (resilient_ && lp.dead[out] != 0) {
-          if (lp.revives_at[out] != kNever) revivable = true;
+          route::adaptive_candidates(fabric_, sw, dst, entry);
+      if (resilient_) {
+        bool any_alive = false;
+        bool revivable = false;
+        for (std::uint32_t i = cand.first; i < cand.first + cand.count; ++i) {
+          const PortId out = node.first_port + i;
+          if (lp.dead[out] == 0) {
+            any_alive = true;
+          } else if (lp.revives_at[out] != kNever) {
+            revivable = true;
+          }
+        }
+        if (!any_alive && !revivable) {
+          // A lone candidate is the culprit; a dead fan-out has none.
+          drop_head(lp, node, in_port,
+                    cand.count == 1 ? node.first_port + cand.first : in_port);
           continue;
         }
-        any_alive = true;
-        try_forward(lp, out);
       }
-      if (resilient_ && !any_alive && !revivable) {
-        // A lone candidate is the culprit; a dead fan-out has none.
-        drop_head(lp, in_port,
-                  cand.count == 1 ? fabric_.port_id(sw, cand.first) : in_port);
-        continue;
+      mark_requests(lp, node, in_port, cand);
+      for (std::uint32_t i = cand.first; i < cand.first + cand.count; ++i) {
+        const PortId out = node.first_port + i;
+        if (!(resilient_ && lp.dead[out] != 0)) try_forward(lp, out);
       }
       return;
     }
   }
 
+  /// Mark the head of `in_port` (a port of `node`) as a requester of every
+  /// output in `outs`, and remember the range for clear_requests.
+  void mark_requests(Lp& lp, const topo::Node& node, PortId in_port,
+                     route::PortRange outs) {
+    lp.head_outs[in_port] = outs;
+    const std::uint32_t i = in_port - node.first_port;
+    const std::uint64_t bit = std::uint64_t{1} << (i % 64);
+    for (std::uint32_t o = outs.first; o < outs.first + outs.count; ++o)
+      lp.requests[std::size_t{node.first_port + o} * req_words_ + i / 64] |=
+          bit;
+  }
+
+  /// The head of `in_port` left its queue: withdraw its requests.
+  void clear_requests(Lp& lp, const topo::Node& node, PortId in_port) {
+    const route::PortRange outs = lp.head_outs[in_port];
+    const std::uint32_t i = in_port - node.first_port;
+    const std::uint64_t bit = std::uint64_t{1} << (i % 64);
+    for (std::uint32_t o = outs.first; o < outs.first + outs.count; ++o)
+      lp.requests[std::size_t{node.first_port + o} * req_words_ + i / 64] &=
+          ~bit;
+    lp.head_outs[in_port] = {};
+  }
+
   /// Drop the head of `in_port`'s queue: free the buffer slot (credit goes
   /// back to the upstream sender) and let the retransmit timer — not the
   /// drop — decide the packet's fate.
-  void drop_head(Lp& lp, PortId in_port, PortId blame_port) {
+  void drop_head(Lp& lp, const topo::Node& node, PortId in_port,
+                 PortId blame_port) {
     auto& queue = lp.queues[in_port];
     const Packet pkt = queue.front();
     queue.pop_front();
+    clear_requests(lp, node, in_port);
     ++lp.packets_dropped;
     if (lp.trace != nullptr)
       trace_event(lp.trace, lp.heap.now(), 0, obs::EventKind::kPacketDropped,
@@ -729,8 +777,8 @@ class Core {
       return;
     }
     const std::uint32_t nports = node.num_down_ports + node.num_up_ports;
-    for (std::uint32_t i = 0; i < nports; ++i) {
-      const PortId in_port = fabric_.port_id(pt.node, i);
+    for (PortId in_port = node.first_port; in_port < node.first_port + nports;
+         ++in_port) {
       if (!lp.queues[in_port].empty()) kick_head(lp, pt.node, in_port);
     }
   }
@@ -769,10 +817,10 @@ class Core {
 
   // --- forwarding -----------------------------------------------------------
 
-  [[nodiscard]] PortId route_port(topo::NodeId sw, std::uint32_t dst) const {
-    return fabric_.port_id(sw, tables_.out_port(sw, dst));
-  }
-
+  /// Grant `out_port` (a switch output) to one requesting input head, if
+  /// the port is idle, alive and has a credit. The winner is the first
+  /// requester at or after the port's round-robin cursor in cyclic input
+  /// order.
   void try_forward(Lp& lp, PortId out_port) {
     if (lp.busy[out_port]) return;
     if (resilient_ && lp.dead[out_port] != 0) return;
@@ -784,57 +832,66 @@ class Core {
       return;
     }
     const topo::Port& out = fabric_.port(out_port);
-    const topo::NodeId sw = out.node;
-    const topo::Node& node = fabric_.node(sw);
+    const topo::Node& node = fabric_.node(out.node);
     const std::uint32_t nports = node.num_down_ports + node.num_up_ports;
+    const std::uint32_t i =
+        first_requester(lp, out_port, lp.rr[out_port] % nports);
+    if (i == kNoRequester) return;
 
-    for (std::uint32_t k = 0; k < nports; ++k) {
-      const std::uint32_t i = (lp.rr[out_port] + k) % nports;
-      const PortId in_port = fabric_.port_id(sw, i);
-      auto& queue = lp.queues[in_port];
-      if (queue.empty()) continue;
-      if (!may_leave_through(sw, queue.front(), out_port)) continue;
+    const PortId in_port = node.first_port + i;
+    auto& queue = lp.queues[in_port];
+    const Packet pkt = queue.front();
+    queue.pop_front();
+    clear_requests(lp, node, in_port);
+    lp.rr[out_port] = i + 1;
+    --lp.credits[out_port];
+    lp.busy[out_port] = true;
 
-      const Packet pkt = queue.front();
-      queue.pop_front();
-      lp.rr[out_port] = i + 1;
-      --lp.credits[out_port];
-      lp.busy[out_port] = true;
+    const SimTime ser = transfer_time(pkt.bytes, lp.rate[out_port]);
+    lp.busy_ns[out_port] += ser;
+    account_vl_busy(lp, pkt.dst, ser);
+    if (lp.trace != nullptr)
+      trace_event(lp.trace, lp.heap.now(), ser,
+                  obs::EventKind::kPacketForwarded, out_port, pkt.msg, pkt.seq,
+                  pkt.stage, cfg_.obs.vl_of(pkt.dst));
+    Ev free_ev{EvType::kOutFree, out_port, {}, 0};
+    lp.heap.push(lp.heap.now() + ser, free_ev);
+    // Return a buffer credit to the upstream sender of the input link.
+    Ev credit{EvType::kCredit, fabric_.port(in_port).peer, {}, 0};
+    send(lp, lp.heap.now() + cfg_.calib.cable_latency_ns, credit);
+    Ev arrive{EvType::kArrive, out.peer, pkt, 0};
+    send(lp,
+         lp.heap.now() + cfg_.calib.switch_latency_ns + ser +
+             cfg_.calib.cable_latency_ns,
+         arrive);
 
-      const SimTime ser = transfer_time(pkt.bytes, lp.rate[out_port]);
-      lp.busy_ns[out_port] += ser;
-      account_vl_busy(lp, pkt.dst, ser);
-      if (lp.trace != nullptr)
-        trace_event(lp.trace, lp.heap.now(), ser,
-                    obs::EventKind::kPacketForwarded, out_port, pkt.msg,
-                    pkt.seq, pkt.stage, cfg_.obs.vl_of(pkt.dst));
-      Ev free_ev{EvType::kOutFree, out_port, {}, 0};
-      lp.heap.push(lp.heap.now() + ser, free_ev);
-      // Return a buffer credit to the upstream sender of the input link.
-      Ev credit{EvType::kCredit, fabric_.port(in_port).peer, {}, 0};
-      send(lp, lp.heap.now() + cfg_.calib.cable_latency_ns, credit);
-      Ev arrive{EvType::kArrive, out.peer, pkt, 0};
-      send(lp,
-           lp.heap.now() + cfg_.calib.switch_latency_ns + ser +
-               cfg_.calib.cable_latency_ns,
-           arrive);
-
-      // The new head of this input queue may target a different, idle
-      // output.
-      if (!queue.empty()) kick_head(lp, sw, in_port);
-      return;  // one packet per grant; the OutFree event re-arbitrates
-    }
+    // The new head of this input queue may target a different, idle output.
+    // One packet per grant; the OutFree event re-arbitrates.
+    if (!queue.empty()) kick_head(lp, out.node, in_port);
   }
 
-  /// Is `out_port` (a port of switch `sw`) a legal egress for this packet?
-  [[nodiscard]] bool may_leave_through(topo::NodeId sw, const Packet& pkt,
-                                       PortId out_port) const {
-    if (cfg_.up_selection == UpSelection::kDeterministic) {
-      if (resilient_ && !tables_.has_entry(sw, pkt.dst)) return false;
-      return route_port(sw, pkt.dst) == out_port;
+  static constexpr std::uint32_t kNoRequester = ~std::uint32_t{0};
+
+  /// Index of the first input requesting `out_port` at or after `start` in
+  /// cyclic order, or kNoRequester.
+  [[nodiscard]] std::uint32_t first_requester(const Lp& lp, PortId out_port,
+                                              std::uint32_t start) const {
+    const std::uint64_t* words =
+        lp.requests.data() + std::size_t{out_port} * req_words_;
+    const std::uint32_t w0 = start / 64;
+    std::uint64_t bits = words[w0] & (~std::uint64_t{0} << (start % 64));
+    for (std::uint32_t w = w0;;) {
+      if (bits != 0)
+        return w * 64 + static_cast<std::uint32_t>(std::countr_zero(bits));
+      if (++w == req_words_) break;
+      bits = words[w];
     }
-    return route::adaptive_candidates(fabric_, tables_, sw, pkt.dst)
-        .contains(fabric_.port(out_port).index);
+    // Nothing at or after `start`: wrap to the lowest requester below it.
+    for (std::uint32_t w = 0; w <= w0; ++w) {
+      if (words[w] != 0)
+        return w * 64 + static_cast<std::uint32_t>(std::countr_zero(words[w]));
+    }
+    return kNoRequester;
   }
 
   // --- hosts ----------------------------------------------------------------
@@ -846,7 +903,7 @@ class Core {
     const topo::NodeId node_id = fabric_.host_node(h);
     const topo::Node& node = fabric_.node(node_id);
     expects(node.num_up_ports == 1, "packet sim requires single-cable hosts");
-    const PortId up = fabric_.port_id(node_id, node.num_down_ports);
+    const PortId up = node.first_port + node.num_down_ports;
     if (resilient_ && lp.dead[up] != 0) {
       // Cut off for good: write the rest of the workload off. A revivable
       // host just parks; the kLinkUp event re-kicks it.
@@ -1400,6 +1457,9 @@ class Core {
   Progression progression_;
   std::uint32_t num_parts_;
   SimTime lookahead_;
+  /// Every switch's LFT row, indexed by NodeId (one validated lookup each).
+  std::vector<std::span<const std::uint32_t>> rows_;
+  std::uint32_t req_words_ = 1;  ///< request-mask words per output port
   bool resilient_ = false;
   bool sampling_ = false;
 

@@ -49,7 +49,7 @@ TEST(AdaptiveCdg, RelationMirrorsTheSimulatorSemantics) {
 
   // Ancestor of the destination: exactly the LFT entry.
   const route::PortRange own =
-      route::adaptive_candidates(fabric, tables, leaf0, 0);
+      route::adaptive_candidates(fabric, leaf0, 0, tables.entry(leaf0, 0));
   ASSERT_EQ(own.count, 1u);
   EXPECT_EQ(own.first, tables.out_port(leaf0, 0));
   EXPECT_LT(own.first, down) << "descent must use a down port";
@@ -58,14 +58,17 @@ TEST(AdaptiveCdg, RelationMirrorsTheSimulatorSemantics) {
   const std::uint64_t remote = fabric.num_hosts() - 1;
   ASSERT_FALSE(fabric.is_ancestor_of_host(leaf0, remote));
   const route::PortRange ascent =
-      route::adaptive_candidates(fabric, tables, leaf0, remote);
+      route::adaptive_candidates(fabric, leaf0, remote,
+                                  tables.entry(leaf0, remote));
   EXPECT_EQ(ascent.first, down);
   EXPECT_EQ(ascent.count, up);
 
   // Ancestor with no programmed entry: no candidates.
   ForwardingTables holed = tables;
   holed.clear_entry(leaf0, 0);
-  EXPECT_EQ(route::adaptive_candidates(fabric, holed, leaf0, 0).count, 0u);
+  EXPECT_EQ(
+      route::adaptive_candidates(fabric, leaf0, 0, holed.entry(leaf0, 0)).count,
+      0u);
 
   const route::AdaptiveRelationStats stats =
       route::adaptive_relation_stats(fabric, tables);

@@ -152,11 +152,12 @@ std::vector<std::uint64_t> destination_union(const Fabric& fabric,
                                              const ForwardingTables& tables,
                                              const ChannelIndex& ci,
                                              const Keep& keep) {
+  const auto rows = tables.rows();
   std::vector<std::uint64_t> all;
   for (std::uint64_t d = 0; d < fabric.num_hosts(); ++d) {
     if (!keep(d)) continue;
     const std::vector<std::uint64_t> deps =
-        destination_dependencies(fabric, tables, ci, d);
+        destination_dependencies(fabric, rows, ci, d);
     all.insert(all.end(), deps.begin(), deps.end());
   }
   sort_unique(all);
@@ -172,13 +173,13 @@ std::vector<std::uint64_t> brute_force_relation(const Fabric& fabric,
   for (const topo::NodeId u : fabric.switch_ids()) {
     for (std::uint64_t d = 0; d < fabric.num_hosts(); ++d) {
       const route::PortRange outs_u =
-          route::adaptive_candidates(fabric, tables, u, d);
+          route::adaptive_candidates(fabric, u, d, tables.entry(u, d));
       for (std::uint32_t i = 0; i < outs_u.count; ++i) {
         const topo::PortId e1 = fabric.port_id(u, outs_u.first + i);
         if (ci.dense[e1] == kNoChannel) continue;
         const topo::NodeId v = fabric.port(fabric.port(e1).peer).node;
         const route::PortRange outs_v =
-            route::adaptive_candidates(fabric, tables, v, d);
+            route::adaptive_candidates(fabric, v, d, tables.entry(v, d));
         for (std::uint32_t j = 0; j < outs_v.count; ++j) {
           const std::uint32_t c2 =
               ci.dense[fabric.port_id(v, outs_v.first + j)];

@@ -153,10 +153,11 @@ void run_sequence(const std::string& spec, std::uint64_t seed,
               count_non_pristine(fabric, full, repair.health()))
         << where;
 
+    const auto full_rows = full.rows();
     std::vector<std::uint64_t> united;
     for (std::uint64_t d = 0; d < fabric.num_hosts(); ++d) {
       const std::vector<std::uint64_t> deps =
-          check::destination_dependencies(fabric, full, ci, d);
+          check::destination_dependencies(fabric, full_rows, ci, d);
       united.insert(united.end(), deps.begin(), deps.end());
     }
     std::sort(united.begin(), united.end());

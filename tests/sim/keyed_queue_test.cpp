@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <queue>
 #include <tuple>
+#include <vector>
 
 #include "sim/keyed_queue.hpp"
 #include "sim/packet_sim.hpp"
 #include "util/expects.hpp"
+#include "util/rng.hpp"
 
 namespace ftcf::sim {
 namespace {
@@ -74,6 +78,92 @@ TEST(KeyedQueue, RejectsPastScheduling) {
 TEST(KeyedQueue, PopFromEmptyThrows) {
   KeyedEventQueue<KeyedEv, KeyedEvKey> q;
   EXPECT_THROW(q.pop(), util::PreconditionError);
+}
+
+/// The reference: a binary heap over every pending event, ordered by
+/// (timestamp, key, push sequence).
+template <typename Event, typename KeyFn>
+class HeapQueue {
+ public:
+  void push(SimTime at, Event ev) {
+    heap_.push(Entry{at, next_seq_++, KeyFn{}(ev), ev});
+  }
+  [[nodiscard]] bool empty() const { return heap_.empty(); }
+  [[nodiscard]] SimTime now() const { return now_; }
+  [[nodiscard]] SimTime next_time() const {
+    return heap_.empty() ? kNever : heap_.top().at;
+  }
+  [[nodiscard]] std::uint64_t processed() const { return processed_; }
+  Event pop() {
+    Entry entry = heap_.top();
+    heap_.pop();
+    now_ = entry.at;
+    ++processed_;
+    return entry.ev;
+  }
+
+ private:
+  using Key = decltype(KeyFn{}(std::declval<const Event&>()));
+  struct Entry {
+    SimTime at;
+    std::uint64_t seq;
+    Key key;
+    Event ev;
+  };
+  struct Later {
+    bool operator()(const Entry& a, const Entry& b) const {
+      return std::tie(a.at, a.key, a.seq) > std::tie(b.at, b.key, b.seq);
+    }
+  };
+  std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
+  SimTime now_ = 0;
+  std::uint64_t next_seq_ = 0;
+  std::uint64_t processed_ = 0;
+};
+
+TEST(KeyedQueue, MatchesTheBinaryHeapOnRandomInterleavings) {
+  // Zero-delay pushes land in the batch being drained, a narrow key range
+  // makes equal keys common (only the push order then separates them), and
+  // rare far-future pushes keep many distinct timestamps pending.
+  for (std::uint64_t trial = 0; trial < 64; ++trial) {
+    util::Xoshiro256 rng(util::derive_seed(0x6b657965, trial));
+    KeyedEventQueue<KeyedEv, KeyedEvKey> bucketed;
+    HeapQueue<KeyedEv, KeyedEvKey> reference;
+    const std::uint64_t key_range = 1 + rng.below(6);
+    int tag = 0;
+    const auto push = [&](SimTime at) {
+      const KeyedEv ev{static_cast<int>(rng.below(key_range)),
+                       static_cast<int>(rng.below(key_range)), tag++};
+      bucketed.push(at, ev);
+      reference.push(at, ev);
+    };
+    for (int step = 0; step < 4000; ++step) {
+      const std::uint64_t action = rng.below(100);
+      if (action < 55 || reference.empty()) {
+        const std::uint64_t kind = rng.below(20);
+        SimTime delay = static_cast<SimTime>(rng.below(4));
+        if (kind == 0) delay = 0;
+        if (kind == 1) delay = static_cast<SimTime>(rng.below(1'000'000'000));
+        if (kind == 2) delay = SimTime{1} << 50;
+        push(reference.now() + delay);
+      } else {
+        const KeyedEv got = bucketed.pop();
+        const KeyedEv want = reference.pop();
+        ASSERT_EQ(got.tag, want.tag) << "trial " << trial << " step " << step;
+        ASSERT_EQ(bucketed.now(), reference.now());
+      }
+      ASSERT_EQ(bucketed.empty(), reference.empty());
+      ASSERT_EQ(bucketed.next_time(), reference.next_time());
+      ASSERT_EQ(bucketed.processed(), reference.processed());
+    }
+    while (!reference.empty()) {
+      ASSERT_EQ(bucketed.pop().tag, reference.pop().tag) << "trial " << trial;
+      ASSERT_EQ(bucketed.now(), reference.now());
+      ASSERT_EQ(bucketed.next_time(), reference.next_time());
+    }
+    EXPECT_TRUE(bucketed.empty());
+    EXPECT_EQ(bucketed.processed(), reference.processed());
+  }
 }
 
 TEST(RetxBackoff, DoublesPerAttemptUntilTheCeiling) {
